@@ -82,7 +82,13 @@ def by_workload(results):
 
 def compare(base_results, new_results, end_to_end):
     """Rows (workload, metric, base median, new median, worse_by, wins,
-    losses, verdict) for every end-to-end metric both sets measured."""
+    losses, verdict) for every end-to-end metric both sets measured.
+    Raises ValueError when either set holds a run whose own check failed
+    (correct=false): such a run's figures are not compared."""
+    bad = ["%s seed %s" % (r["workload"], r["seed"])
+           for r in base_results + new_results if not r.get("correct", True)]
+    if bad:
+        raise ValueError("runs with correct=false: " + ", ".join(bad))
     base, new = by_workload(base_results), by_workload(new_results)
     rows = []
     for workload in sorted(base):

@@ -828,6 +828,14 @@ void PrintPhase(const char* name, const Phase& phase) {
       valid ? "valid" : "INVALID: ", why.c_str());
 }
 
+/// A measured phase whose generator fell behind or whose backlog grew did
+/// not offer the load its schedule says, so its figures must not be
+/// compared: the run is marked incorrect.
+void FailIfInvalid(const Phase& phase, Result* result) {
+  std::string why;
+  if (!PhaseValid(phase, &why)) result->Fail("measured phase invalid: " + why);
+}
+
 // --- Core-layer replay --------------------------------------------------------
 
 /// Replays requests through StTokenizer / Backbone / GeneralTaskHeads the
@@ -1250,6 +1258,8 @@ Result WalkDecode(const Args& args, Tracer* tracer) {
   server->Stop();
   CheckServePhases(phase, args.trace ? &traced : nullptr,
                    fixture.reference.get(), &result);
+  FailIfInvalid(phase, &result);
+  if (args.trace) FailIfInvalid(traced, &result);
 
   const double rps = phase.ok() / phase.seconds;
   if (!args.trace) {
@@ -1267,14 +1277,67 @@ Result WalkDecode(const Args& args, Tracer* tracer) {
   return result;
 }
 
-/// Offered rates (req/s) of city_mix's sustained-rate ladder; the nominal
-/// phase runs at the first.
-/// city_mix's nominal offered rate (req/s), well below the knee, and the
-/// sustained-rate ladder above it, highest rung first.
+/// city_mix's nominal offered rate (req/s), well below the knee.
 constexpr double kMixNominal = 400;
-constexpr double kMixLadder[] = {2800, 1400, 700};
 constexpr double kMixPace = 10.0;  // Simulated slices per second.
-constexpr double kProbeSeconds = 4.0;
+
+/// The sustained-rate search. An overload probe at kMixTop req/s measures
+/// the rate the server serves when saturated; the search starts just below
+/// it and steps the offered rate by kMixStep (5%, a quarter of
+/// sustained_rps's bound) up while the SLO is met, or down until it is.
+/// Once a met and a missed rate are one step apart, one bisection probe
+/// halves the gap, so the reported rate lies within 2.5% below the knee.
+constexpr double kMixTop = 4800;
+constexpr double kTopSeconds = 1.5;
+constexpr double kMixStep = 1.05;
+constexpr double kMixResolution = 1.025;
+constexpr double kProbeSeconds = 3.0;
+constexpr int kMaxSearchProbes = 7;
+
+/// The OK rate of the highest offered rate that meets the server's SLO,
+/// or 0 when none does. `probe(rate, seconds)` runs one phase on a fresh
+/// server; `nominal` is the measured phase at kMixNominal.
+template <typename Probe>
+double SustainedRate(const Probe& probe, const Phase& nominal,
+                     const ServeOptions& options) {
+  const Phase top = probe(kMixTop, kTopSeconds);
+  PrintPhase("probe top", top);
+  if (MeetsSlo(top, options)) {
+    std::printf("sustained rate: at least the top probe's\n");
+    return top.ok() / top.seconds;
+  }
+  const double saturated = top.ok() / top.seconds;
+  double passed = 0, failed = kMixTop, best = 0;
+  if (MeetsSlo(nominal, options)) {
+    passed = kMixNominal;
+    best = nominal.ok() / nominal.seconds;
+  }
+  double rate = 0.9 * saturated;
+  if (rate <= passed) rate = passed * kMixStep;
+  if (rate >= failed) rate = failed / kMixStep;
+  for (int i = 0; i < kMaxSearchProbes; ++i) {
+    const Phase phase = probe(rate, kProbeSeconds);
+    char name[48];
+    std::snprintf(name, sizeof(name), "probe %.0f", rate);
+    PrintPhase(name, phase);
+    const bool met = MeetsSlo(phase, options);
+    if (met) {
+      passed = rate;
+      best = phase.ok() / phase.seconds;
+    } else {
+      failed = rate;
+    }
+    if (passed > 0 && failed / passed <= kMixResolution) break;
+    const bool bracketed = passed > 0 && failed / passed <= kMixStep * 1.001;
+    rate = bracketed ? std::sqrt(passed * failed)
+           : met     ? rate * kMixStep
+                     : rate / kMixStep;
+  }
+  std::printf("sustained rate: saturated %.0f req/s; SLO met at %.0f, "
+              "missed at %.0f (ratio %.3f)\n",
+              saturated, passed, failed, failed / std::max(passed, 1e-9));
+  return best;
+}
 
 // city_mix: open-loop Poisson arrivals of all eight tasks on a 906-segment
 // city. Loads cold-slice tokenization (the O(N^2) fusion) and the shared
@@ -1292,13 +1355,14 @@ Result CityMix(const Args& args, Tracer* tracer) {
   const int first_now = generator.min_now();
   const int measured_now = first_now + static_cast<int>(kWarmup * kMixPace);
   Tracer off(false);
-  // One phase on a fresh server (cold caches): a warm-up at the phase's
-  // rate, then the measured part, with now advancing across both.
+  // One phase on a fresh server (cold caches): a warm-up at the nominal
+  // rate, so an overloaded phase starts with an empty queue, then the
+  // measured part at the phase's rate, with now advancing across both.
   auto measure = [&](double rate, double seconds, int check_every,
                      Tracer* spans) {
     fixture.StartServer(config, options);
     RunOpenLoop(fixture.server.get(),
-                generator.Schedule(rate, kWarmup, first_now, kMixPace),
+                generator.Schedule(kMixNominal, kWarmup, first_now, kMixPace),
                 kWarmup, 0, &off);
     return RunOpenLoop(
         fixture.server.get(),
@@ -1313,29 +1377,21 @@ Result CityMix(const Args& args, Tracer* tracer) {
     traced = measure(kMixNominal, args.seconds, kCheckEvery, tracer);
     PrintPhase("city_mix traced", traced);
   }
-  // Sustained rate: the ladder's rungs from the top down; the first that
-  // meets the server's own SLO with a valid phase gives the OK rate. The
-  // nominal phase is the bottom rung.
   double sustained = 0;
   if (!args.trace) {
-    for (double rate : kMixLadder) {
-      Phase probe = measure(rate, kProbeSeconds, 0, &off);
-      char name[32];
-      std::snprintf(name, sizeof(name), "rung %.0f", rate);
-      PrintPhase(name, probe);
-      if (MeetsSlo(probe, options)) {
-        sustained = probe.ok() / probe.seconds;
-        break;
-      }
-    }
-    if (sustained == 0 && MeetsSlo(phase, options)) {
-      sustained = phase.ok() / phase.seconds;
-    }
+    sustained = SustainedRate(
+        [&](double rate, double seconds) {
+          return measure(rate, seconds, 0, &off);
+        },
+        phase, options);
   }
   bigcity::util::FaultInjection::DisarmAll();
   fixture.server->Stop();
   CheckServePhases(phase, args.trace ? &traced : nullptr,
                    fixture.reference.get(), &result);
+  FailIfInvalid(phase, &result);
+  if (args.trace) FailIfInvalid(traced, &result);
+  if (!args.trace && sustained == 0) result.Fail("no offered rate met the SLO");
 
   if (!args.trace) {
     result.Add("setup_s", setup_s, "s");

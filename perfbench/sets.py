@@ -1,14 +1,16 @@
 #!/usr/bin/env python3
 """Run sets of benchmark runs and compare them (perfbench/README.md).
 
-    python3 perfbench/sets.py run --out A.jsonl [--workloads W,..]
-                                  [--seeds 1-10] [--stall-ms M]
+    python3 perfbench/sets.py run --out A.jsonl [--seeds 1-10]
     python3 perfbench/sets.py spread A.jsonl
     python3 perfbench/sets.py compare A.jsonl B.jsonl
     python3 perfbench/sets.py selfcheck --dir DIR [--seeds 1-10]
 
 Run from the repository root. Every run goes through perfbench/run.py,
-the command BENCHMARK.json names, with its run_seconds.
+the command BENCHMARK.json names, with its run_seconds. A run whose own
+check fails (correct=false, which includes a measured phase made invalid by
+a lagging generator or a growing backlog) stops the set: its figures are
+never compared.
 `selfcheck` makes two clean sets and one with the serve.worker.stall
 fault armed, and checks that the clean sets agree within the bounds and
 that the stalled set reads as a regression on walk_decode throughput_rps
@@ -71,6 +73,9 @@ def run_set(spec, workloads, seeds, out_path, stall_ms=None):
                                       result["metrics"].items()}}
                 out.write(json.dumps(record) + "\n")
                 out.flush()
+                if not record["correct"]:
+                    sys.exit("run rejected (correct=false): %s seed %d"
+                             % (workload, seed))
                 results.append(record)
                 print("%-12s seed %3d  %s" % (workload, seed, " ".join(
                     "%s=%.4g" % kv for kv in record["metrics"].items())))
@@ -84,18 +89,23 @@ def load(path):
 
 def print_spread(spec, results):
     """Quartile spread of each metric against its bound; True when every
-    spread but setup_s is within a third of its bound."""
+    spread but setup_s is within a third of its bound. setup_s is exempt,
+    as in the benchmark contract: a set-up is well under a second, so host
+    noise dominates its spread (README, "Measured spread"); it is still
+    printed, and compared between sets against its bound."""
     bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     steady = True
     for workload, metrics in compare.by_workload(results).items():
         for name, values in metrics.items():
             share = compare.iqr_share(values)
-            ok = name == "setup_s" or share <= bounds[name] / 3
-            steady = steady and ok
+            exempt = name == "setup_s"
+            ok = share <= bounds[name] / 3
+            steady = steady and (ok or exempt)
             print("%-12s %-20s n=%2d median %12.5g  iqr/median %.4f  "
                   "bound %.2f %s" % (workload, name, len(values),
                                      statistics.median(values), share,
-                                     bounds[name], "" if ok else "WIDE"))
+                                     bounds[name], "" if ok else
+                                     "WIDE (exempt)" if exempt else "WIDE"))
     for r in results:
         if not r["correct"] or r["failed"]:
             steady = False
@@ -105,7 +115,10 @@ def print_spread(spec, results):
 
 
 def print_compare(spec, base, new):
-    rows = compare.compare(base, new, spec["end_to_end"])
+    try:
+        rows = compare.compare(base, new, spec["end_to_end"])
+    except ValueError as error:
+        sys.exit("not compared: %s" % error)
     for workload, name, b, n, worse, wins, losses, verdict in rows:
         print("%-12s %-20s base %12.5g new %12.5g worse_by %+.4f "
               "wins %2d losses %2d  %s" % (workload, name, b, n, worse,
@@ -137,10 +150,7 @@ def main():
     sub = parser.add_subparsers(dest="command", required=True)
     p = sub.add_parser("run")
     p.add_argument("--out", required=True)
-    p.add_argument("--workloads")
     p.add_argument("--seeds", default="1-10")
-    p.add_argument("--stall-ms", type=int, default=0,
-                   help="arm serve.worker.stall for every workload of the set")
     p = sub.add_parser("spread")
     p.add_argument("path")
     p = sub.add_parser("compare")
@@ -153,10 +163,8 @@ def main():
     spec = load_spec()
 
     if args.command == "run":
-        workloads = (args.workloads.split(",") if args.workloads else
-                     [w["name"] for w in spec["workloads"]])
-        run_set(spec, workloads, parse_seeds(args.seeds), args.out,
-                {w: args.stall_ms for w in workloads})
+        run_set(spec, [w["name"] for w in spec["workloads"]],
+                parse_seeds(args.seeds), args.out)
         return 0
     if args.command == "spread":
         return 0 if print_spread(spec, load(args.path)) else 1

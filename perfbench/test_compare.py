@@ -73,6 +73,16 @@ class VerdictTest(unittest.TestCase):
         self.assertEqual(len(rows), 1)
         self.assertEqual(rows[0][-1], "regression")
 
+    def test_compare_rejects_incorrect_runs(self):
+        base = [{"workload": "w", "seed": s, "correct": True,
+                 "metrics": {"m": v}} for s, v in enumerate(self.BASE)]
+        new = [dict(r) for r in base]
+        new[3]["correct"] = False
+        spec = [{"name": "m", "better": "lower", "bound": 0.1}]
+        with self.assertRaises(ValueError):
+            compare.compare(base, new, spec)
+        self.assertEqual(len(compare.compare(base, base, spec)), 1)
+
 
 if __name__ == "__main__":
     unittest.main()
