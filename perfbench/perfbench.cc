@@ -8,7 +8,7 @@
 // replays a sample of requests through the core layers' public functions,
 // and prints the per-layer metrics.
 //
-// Usage: perfbench --workload walk_decode|city_mix|train_slice --seed N
+// Usage: perfbench --workload walk_decode|city_mix --seed N
 //                  --seconds S --trace 0|1 [--stall-ms M] [--git-sha SHA]
 //                  [--src-digest HEX] [--trace-out PATH]
 //
@@ -43,7 +43,6 @@
 #include "obs/trace.h"
 #include "serve/server.h"
 #include "stats.h"
-#include "train/trainer.h"
 #include "util/fault_injection.h"
 #include "util/logging.h"
 
@@ -84,7 +83,7 @@ struct Args {
 [[noreturn]] void Usage(const char* message) {
   std::fprintf(stderr,
                "perfbench: %s\nusage: perfbench --workload "
-               "walk_decode|city_mix|train_slice --seed N --seconds S "
+               "walk_decode|city_mix --seed N --seconds S "
                "--trace 0|1 [--stall-ms M] [--git-sha SHA] "
                "[--src-digest HEX] [--trace-out PATH]\n",
                message);
@@ -311,7 +310,6 @@ struct Counters {
         "serve.cache.tokenizer.hit", "serve.cache.tokenizer.miss",
         "serve.batch.fallback",      "kernels.gemm.calls",
         "plan.cache.hit",            "plan.cache.miss",
-        "train.tokens",              "train.steps.applied",
     };
     Counters c;
     for (const char* name : kNames) c.values[name] = CounterValue(name);
@@ -323,25 +321,6 @@ struct Counters {
 };
 
 double Ratio(double num, double den) { return den > 0 ? num / den : 0; }
-
-/// Histogram state at one instant, so a phase's own percentile can be read
-/// from bucket-count deltas.
-struct HistogramMark {
-  std::vector<uint64_t> buckets;
-  std::vector<double> bounds;
-
-  static HistogramMark Capture(const char* name) {
-    auto* h = bigcity::obs::MetricsRegistry::Global().GetHistogram(name);
-    return HistogramMark{h->BucketCounts(), h->bounds()};
-  }
-  double PercentileSince(const HistogramMark& before, double q) const {
-    std::vector<uint64_t> delta(buckets.size());
-    for (size_t i = 0; i < buckets.size(); ++i) {
-      delta[i] = buckets[i] - before.buckets[i];
-    }
-    return bigcity::obs::HistogramPercentile(bounds, delta, q);
-  }
-};
 
 // --- Bench cities and models --------------------------------------------------
 
@@ -520,7 +499,10 @@ class WalkLoad {
     const Clock::time_point end =
         start + std::chrono::duration_cast<Clock::duration>(
                     std::chrono::duration<double>(seconds));
-    for (auto& s : sessions_) Send(server, &s);
+    for (auto& s : sessions_) {
+      Send(server, &s);
+      s.lag_ms = 0;
+    }
     size_t inflight = sessions_.size();
     while (inflight > 0) {
       // Block briefly on the oldest outstanding reply, then sweep.
@@ -546,11 +528,19 @@ class WalkLoad {
           tracer->Add("serve.request", response.trace_id, -1, send_us,
                       send_us + response.total_us);
         }
-        Keep(&phase, s.request, std::move(response), latency_ms, 0,
+        const Clock::time_point answered =
+            s.sent + std::chrono::duration_cast<Clock::duration>(
+                         std::chrono::duration<double, std::micro>(
+                             response.total_us));
+        Keep(&phase, s.request, std::move(response), latency_ms, s.lag_ms,
              SecondsBetween(start, s.sent), check_every, &ok_seen);
         Advance(&s);
         if (sending) {
           Send(server, &s);
+          // The next hop was due when the reply was ready.
+          s.lag_ms = std::max(0.0, std::chrono::duration<double, std::milli>(
+                                       s.sent - answered)
+                                       .count());
           ++inflight;
         }
       }
@@ -569,6 +559,7 @@ class WalkLoad {
     std::future<Response> future;
     bool inflight = false;
     Clock::time_point sent;
+    double lag_ms = 0;  // From the previous reply to this send.
   };
 
   void NextWalk(Session* s) {
@@ -699,14 +690,17 @@ bool MeetsSlo(const Phase& phase, const ServeOptions& options) {
 /// Answers per window: enough for a p99 with about 15 samples beyond it.
 constexpr size_t kWindowAnswers = 1500;
 
-/// Adds p50_ms, p99_ms and throughput_rps. The phase's full answers, in
-/// send order, are split into up to 10 windows of equal count (at least
-/// kWindowAnswers each); each statistic is computed per window and the
-/// median over windows is reported, so a transient stall of the host moves
-/// one window, not the result, while a slower program moves every window.
-/// `sending_s` is how long requests were sent. False when the phase cannot
-/// support a p99 (fewer than 1000 answers or fewer than 10 beyond it).
-bool AddLatencyMetrics(const Phase& phase, double sending_s, Result* result) {
+/// Adds p50_ms and p99_ms, and sets `*rps_out` to the rate of full
+/// answers.
+/// The phase's full answers, in send order, are split into up to 10
+/// windows of equal count (at least kWindowAnswers each); each statistic is
+/// computed per window and the median over windows is reported, so a
+/// transient stall of the host moves one window, not the result, while a
+/// slower program moves every window. `sending_s` is how long requests
+/// were sent. False when the phase cannot support a p99 (fewer than 1000
+/// answers or fewer than 10 beyond it).
+bool AddLatencyMetrics(const Phase& phase, double sending_s, Result* result,
+                       double* rps_out) {
   std::vector<const Sample*> answers;
   for (const Sample& s : phase.samples) {
     if (s.FullAnswer()) answers.push_back(&s);
@@ -742,7 +736,7 @@ bool AddLatencyMetrics(const Phase& phase, double sending_s, Result* result) {
   std::printf("\n");
   result->Add("p50_ms", Median(p50), "ms");
   result->Add("p99_ms", Median(p99), "ms");
-  result->Add("throughput_rps", Median(rps), "req/s");
+  *rps_out = Median(rps);
   return true;
 }
 
@@ -767,14 +761,10 @@ void AddServeLayerMetrics(const Phase& phase, Result* result) {
               Mean(phase.Stage(&SB::validate_us, 1.0)), "us");
   result->Add("serve.tokenize_ms.mean",
               Mean(phase.Stage(&SB::tokenize_us, 1e-3)), "ms");
-  result->Add("serve.cache_lookup_us.mean",
-              Mean(phase.Stage(&SB::cache_lookup_us, 1.0)), "us");
   result->Add("serve.forward_ms.mean",
               Mean(phase.Stage(&SB::forward_us, 1e-3)), "ms");
   result->Add("serve.forward_ms.p99",
               Percentile(phase.Stage(&SB::forward_us, 1e-3), 0.99), "ms");
-  result->Add("serve.retry_us.mean", Mean(phase.Stage(&SB::retry_us, 1.0)),
-              "us");
   const double kv_hit = a.Delta(b, "serve.cache.kv.hit");
   const double kv_miss = a.Delta(b, "serve.cache.kv.miss");
   result->Add("serve.kv_hit_ratio", Ratio(kv_hit, kv_hit + kv_miss), "ratio");
@@ -1187,12 +1177,12 @@ struct ServeFixture {
     }
   }
 
-  /// Builds everything from scratch five times: dataset generation, model
-  /// construction, server Start. Keeps the last; returns the median time.
-  double SetUp(const CityDatasetConfig& city, const BigCityConfig& config,
-               const ServeOptions& options) {
-    std::vector<double> times;
-    for (int i = 0; i < 5; ++i) {
+  /// Builds everything from scratch `count` times: dataset generation,
+  /// model construction, server Start. Keeps the last; appends each time.
+  void SetUp(const CityDatasetConfig& city, const BigCityConfig& config,
+             const ServeOptions& options, int count,
+             std::vector<double>* times) {
+    for (int i = 0; i < count; ++i) {
       server.reset();
       reference.reset();
       dataset.reset();
@@ -1200,11 +1190,27 @@ struct ServeFixture {
       dataset = std::make_unique<CityDataset>(city);
       reference = std::make_unique<BigCityModel>(dataset.get(), config);
       StartServer(config, options);
-      times.push_back(SecondsBetween(t0, Clock::now()));
+      times->push_back(SecondsBetween(t0, Clock::now()));
     }
-    return Median(times);
   }
 };
+
+/// setup_s: the median of nine set-ups, five before the measured phase
+/// and four on a scratch fixture after it, so a burst of host noise at
+/// start-up moves a minority of them.
+constexpr int kSetUpsBefore = 5;
+constexpr int kSetUpsAfter = 4;
+
+double SetUpSeconds(const CityDatasetConfig& city, const BigCityConfig& config,
+                    const ServeOptions& options, std::vector<double> times) {
+  ServeFixture scratch;
+  scratch.SetUp(city, config, options, kSetUpsAfter, &times);
+  scratch.server->Stop();
+  std::printf("set-ups (s):");
+  for (double t : times) std::printf(" %.3f", t);
+  std::printf("\n");
+  return Median(times);
+}
 
 /// Output check of the measured phase (and the traced one, if any); fills
 /// attempted and failed from the measured phase.
@@ -1236,7 +1242,8 @@ Result WalkDecode(const Args& args, Tracer* tracer) {
   options.kv_sessions = kSessions;  // Store capacity kv_sessions * workers.
   options.tokenizer_cache_slices = 128;  // Every slice of the city.
   ServeFixture fixture;
-  const double setup_s = fixture.SetUp(XaBenchCity(), config, options);
+  std::vector<double> setups;
+  fixture.SetUp(XaBenchCity(), config, options, kSetUpsBefore, &setups);
   const CityDataset* dataset = fixture.dataset.get();
   InferenceServer* server = fixture.server.get();
   std::vector<Trajectory> pool = dataset->train();
@@ -1248,6 +1255,7 @@ Result WalkDecode(const Args& args, Tracer* tracer) {
   ArmStall(args);
   constexpr int kCheckEvery = 100;
   Phase phase = load.Run(server, args.seconds, kCheckEvery, &off);
+  const double peak_rss_mb = PeakRssMb();
   PrintPhase("walk_decode", phase);
   Phase traced;
   if (args.trace) {
@@ -1263,9 +1271,14 @@ Result WalkDecode(const Args& args, Tracer* tracer) {
 
   const double rps = phase.ok() / phase.seconds;
   if (!args.trace) {
-    result.Add("setup_s", setup_s, "s");
-    if (!AddLatencyMetrics(phase, args.seconds, &result)) std::exit(1);
-    result.Add("peak_rss_mb", PeakRssMb(), "MB");
+    result.Add("setup_s",
+               SetUpSeconds(XaBenchCity(), config, options, setups), "s");
+    double window_rps = 0;
+    if (!AddLatencyMetrics(phase, args.seconds, &result, &window_rps)) {
+      std::exit(1);
+    }
+    result.Add("throughput_rps", window_rps, "req/s");
+    result.Add("peak_rss_mb", peak_rss_mb, "MB");
     return result;
   }
   AddServeLayerMetrics(traced, &result);
@@ -1283,10 +1296,10 @@ constexpr double kMixPace = 10.0;  // Simulated slices per second.
 
 /// The sustained-rate search. An overload probe at kMixTop req/s measures
 /// the rate the server serves when saturated; the search starts just below
-/// it and steps the offered rate by kMixStep (5%, a quarter of
-/// sustained_rps's bound) up while the SLO is met, or down until it is.
-/// Once a met and a missed rate are one step apart, one bisection probe
-/// halves the gap, so the reported rate lies within 2.5% below the knee.
+/// it and steps the offered rate by kMixStep (5%) up while the SLO is
+/// met, or down until it is. Once a met and a missed rate are one step
+/// apart, one bisection probe halves the gap, so the reported rate lies
+/// within 2.5% below the knee. city_mix reports it as throughput_rps.
 constexpr double kMixTop = 4800;
 constexpr double kTopSeconds = 1.5;
 constexpr double kMixStep = 1.05;
@@ -1294,9 +1307,10 @@ constexpr double kMixResolution = 1.025;
 constexpr double kProbeSeconds = 3.0;
 constexpr int kMaxSearchProbes = 7;
 
-/// The OK rate of the highest offered rate that meets the server's SLO,
-/// or 0 when none does. `probe(rate, seconds)` runs one phase on a fresh
-/// server; `nominal` is the measured phase at kMixNominal.
+/// The highest offered rate that meets the server's SLO times its share
+/// of full answers, or 0 when none does. `probe(rate, seconds)` runs one
+/// phase on a fresh server; `nominal` is the measured phase at
+/// kMixNominal.
 template <typename Probe>
 double SustainedRate(const Probe& probe, const Phase& nominal,
                      const ServeOptions& options) {
@@ -1310,7 +1324,8 @@ double SustainedRate(const Probe& probe, const Phase& nominal,
   double passed = 0, failed = kMixTop, best = 0;
   if (MeetsSlo(nominal, options)) {
     passed = kMixNominal;
-    best = nominal.ok() / nominal.seconds;
+    best = kMixNominal * Ratio(static_cast<double>(nominal.ok()),
+                               static_cast<double>(nominal.attempted()));
   }
   double rate = 0.9 * saturated;
   if (rate <= passed) rate = passed * kMixStep;
@@ -1323,7 +1338,10 @@ double SustainedRate(const Probe& probe, const Phase& nominal,
     const bool met = MeetsSlo(phase, options);
     if (met) {
       passed = rate;
-      best = phase.ok() / phase.seconds;
+      // The offered rate times the success share: the phase's own
+      // ok/seconds would also count its Poisson count and drain time.
+      best = rate * Ratio(static_cast<double>(phase.ok()),
+                          static_cast<double>(phase.attempted()));
     } else {
       failed = rate;
     }
@@ -1347,7 +1365,8 @@ Result CityMix(const Args& args, Tracer* tracer) {
   const BigCityConfig config = DefaultModel(1);
   const ServeOptions options = BaseServeOptions();
   ServeFixture fixture;
-  const double setup_s = fixture.SetUp(MixCity(), config, options);
+  std::vector<double> setups;
+  fixture.SetUp(MixCity(), config, options, kSetUpsBefore, &setups);
   CityMixGenerator generator(fixture.dataset.get(), fixture.reference.get(),
                              args.seed);
   constexpr double kWarmup = 1.0;
@@ -1371,6 +1390,9 @@ Result CityMix(const Args& args, Tracer* tracer) {
   };
   ArmStall(args);
   Phase phase = measure(kMixNominal, args.seconds, kCheckEvery, &off);
+  // After the measured phase, before the search's overloaded probes, whose
+  // backlogs make the peak depend on how far each one overshot.
+  const double peak_rss_mb = PeakRssMb();
   PrintPhase("city_mix nominal", phase);
   Phase traced;
   if (args.trace) {
@@ -1394,10 +1416,14 @@ Result CityMix(const Args& args, Tracer* tracer) {
   if (!args.trace && sustained == 0) result.Fail("no offered rate met the SLO");
 
   if (!args.trace) {
-    result.Add("setup_s", setup_s, "s");
-    if (!AddLatencyMetrics(phase, args.seconds, &result)) std::exit(1);
-    result.Add("sustained_rps", sustained, "req/s");
-    result.Add("peak_rss_mb", PeakRssMb(), "MB");
+    result.Add("setup_s", SetUpSeconds(MixCity(), config, options, setups),
+               "s");
+    double offered_rps = 0;  // The nominal rate: not a measure of speed.
+    if (!AddLatencyMetrics(phase, args.seconds, &result, &offered_rps)) {
+      std::exit(1);
+    }
+    result.Add("throughput_rps", sustained, "req/s");
+    result.Add("peak_rss_mb", peak_rss_mb, "MB");
     return result;
   }
   AddServeLayerMetrics(traced, &result);
@@ -1407,220 +1433,6 @@ Result CityMix(const Args& args, Tracer* tracer) {
   BigCityModel replay_model(fixture.dataset.get(), config);
   ReplayPhase(traced, &replay_model, tracer, 64, &result);
   result.Add("plan.arena_mb", PlanArenaMb(), "MB");
-  return result;
-}
-
-/// FNV-1a over every parameter's bytes, in NamedParameters order.
-uint64_t ParameterDigest(const BigCityModel& model) {
-  uint64_t hash = 1469598103934665603ull;
-  for (const auto& [name, tensor] : model.NamedParameters()) {
-    for (char c : name) hash = (hash ^ static_cast<uint8_t>(c)) * 1099511628211ull;
-    const auto* bytes =
-        reinterpret_cast<const unsigned char*>(tensor.data().data());
-    const size_t size = static_cast<size_t>(tensor.numel()) * sizeof(float);
-    for (size_t i = 0; i < size; ++i) {
-      hash = (hash ^ bytes[i]) * 1099511628211ull;
-    }
-  }
-  return hash;
-}
-
-/// Mean stage-2 task loss over fixed samples, without gradients.
-double MeanTaskLoss(BigCityModel* model, bigcity::train::Trainer* probe,
-                    const std::vector<bigcity::train::Trainer::TaskSample>&
-                        samples) {
-  bigcity::nn::NoGradGuard no_grad;
-  model->BeginStep();
-  double sum = 0;
-  for (const auto& sample : samples) {
-    sum += probe->TaskLoss(sample).data()[0];
-  }
-  model->BeginStep();
-  return sum / static_cast<double>(samples.size());
-}
-
-/// What a sequence of training rounds measured.
-struct Rounds {
-  std::vector<double> setup_s, pretrain_s, stage1_s, stage2_s;
-  double tokens = 0;
-  double train_s = 0;  // Stage-call time only.
-  int64_t steps = 0;
-  int64_t skipped = 0;
-  double loss_before = 0;
-  double loss_after = 0;
-  std::vector<double> tokens_per_s;  // Per round.
-  std::vector<uint64_t> digests;
-  double spatial_ms = 0;  // Per cold slice, with gradients (first round).
-  /// Peak RSS when the reference round ends. Later rounds build fresh
-  /// models into memory the allocator kept from earlier rounds, so the peak
-  /// they reach depends on allocation timing, not on the program.
-  double first_round_peak_rss_mb = 0;
-
-  /// Median over rounds, so a transient stall of the host moves one round.
-  double TokensPerSecond() const { return Median(tokens_per_s); }
-};
-
-/// Runs `count` whole rounds: set-up, then LM pre-training, stage 1 and
-/// stage 2 through the Trainer's stage calls. The first is the reference
-/// round: it trains with the TrainConfig default seed in every run, so its
-/// peak memory, loss check and output digest describe the same input
-/// whatever the run's seed. Round r > 1 trains with base_config.seed + r.
-Rounds RunRounds(const bigcity::train::TrainConfig& base_config,
-                 const BigCityConfig& config, int count, Tracer* tracer) {
-  Rounds out;
-  while (static_cast<int>(out.digests.size()) < count) {
-    const uint64_t round_id = out.digests.size() + 1;
-    bigcity::train::TrainConfig train_config = base_config;
-    train_config.seed = round_id == 1 ? bigcity::train::TrainConfig{}.seed
-                                      : base_config.seed + round_id;
-    const Clock::time_point t0 = Clock::now();
-    CityDataset dataset(XaBenchCity());
-    BigCityModel model(&dataset, config);
-    bigcity::train::Trainer trainer(&model, train_config);
-    out.setup_s.push_back(SecondsBetween(t0, Clock::now()));
-    const bool first = out.digests.empty();
-    std::unique_ptr<bigcity::train::Trainer> probe;
-    std::vector<bigcity::train::Trainer::TaskSample> probe_samples;
-    if (first) {
-      // A second trainer (own seed) draws the fixed loss-probe samples, so
-      // the measured trainer's random stream is untouched.
-      bigcity::train::TrainConfig probe_config = train_config;
-      probe_config.seed = train_config.seed ^ 0x5eed;
-      probe_config.max_task_samples = 4;
-      probe = std::make_unique<bigcity::train::Trainer>(&model, probe_config);
-      probe_samples = probe->BuildTaskSamples();
-      out.loss_before = MeanTaskLoss(&model, probe.get(), probe_samples);
-    }
-    const Counters c0 = Counters::Capture();
-    Span round_span(tracer, "train.round", round_id);
-    auto stage = [&](const char* name, auto call) {
-      Span span(tracer, name, round_id, round_span.index());
-      const Clock::time_point s0 = Clock::now();
-      if (auto status = call(); !status.ok()) {
-        std::fprintf(stderr, "%s failed: %s\n", name,
-                     status.ToString().c_str());
-        std::exit(1);
-      }
-      const double s = SecondsBetween(s0, Clock::now());
-      out.train_s += s;
-      return s;
-    };
-    out.pretrain_s.push_back(
-        stage("train.pretrain", [&] { return trainer.PretrainBackbone(); }));
-    out.stage1_s.push_back(
-        stage("train.stage1", [&] { return trainer.RunStage1(); }));
-    out.stage2_s.push_back(
-        stage("train.stage2", [&] { return trainer.RunStage2(); }));
-    const Counters c1 = Counters::Capture();
-    out.tokens += c1.Delta(c0, "train.tokens");
-    out.tokens_per_s.push_back(
-        Ratio(c1.Delta(c0, "train.tokens"), out.pretrain_s.back() +
-                                                out.stage1_s.back() +
-                                                out.stage2_s.back()));
-    out.steps += static_cast<int64_t>(c1.Delta(c0, "train.steps.applied")) +
-                 trainer.total_skipped_steps();
-    out.skipped += trainer.total_skipped_steps();
-    out.digests.push_back(ParameterDigest(model));
-    if (first) out.first_round_peak_rss_mb = PeakRssMb();
-    if (first) {
-      out.loss_after = MeanTaskLoss(&model, probe.get(), probe_samples);
-      if (tracer->enabled()) {
-        // Cold-slice tokenizer cost as training pays it: with gradients,
-        // right after BeginStep cleared the per-step cache.
-        model.BeginStep();
-        for (int slice = 0; slice < 8; ++slice) {
-          Span span(tracer, "tokenizer.spatial", round_id);
-          model.tokenizer()->SpatialRepresentations(slice);
-        }
-        out.spatial_ms = Mean(tracer->DurationsMs("tokenizer.spatial"));
-        model.BeginStep();
-      }
-    }
-  }
-  return out;
-}
-
-// train_slice: fixed-budget rounds of the full training schedule (LM
-// pre-training, stage 1, stage 2) on the XA bench city with 2 kernel
-// threads. The only workload that runs autograd backward, the optimizer,
-// training plans/arenas and the ThreadPool; the tokenizer is recomputed
-// with gradients every step.
-Result TrainSlice(const Args& args, Tracer* tracer) {
-  Result result;
-  bigcity::train::TrainConfig train_config;
-  train_config.pretrain_lm_epochs = 1;
-  train_config.stage1_epochs = 1;
-  train_config.stage2_epochs = 1;
-  train_config.max_stage1_sequences = 96;
-  train_config.max_task_samples = 20;
-  train_config.seed = 31 + 1000 * args.seed;
-  const BigCityConfig config = DefaultModel(2);
-  // A fixed amount of work per run: one round takes about 2.5 s on a
-  // 4-core x86 host, and at least three rounds give set-up time a median.
-  const int count = std::max(3, static_cast<int>(std::lround(args.seconds /
-                                                             2.5)));
-
-  Tracer off(false);
-  const Rounds rounds = RunRounds(train_config, config, count, &off);
-  std::printf("train: %zu rounds, %.0f tokens in %.2fs, %lld steps "
-              "(%lld skipped), loss %.6f -> %.6f\n",
-              rounds.digests.size(), rounds.tokens, rounds.train_s,
-              static_cast<long long>(rounds.steps),
-              static_cast<long long>(rounds.skipped), rounds.loss_before,
-              rounds.loss_after);
-  std::printf("tokens/s per round:");
-  for (double v : rounds.tokens_per_s) std::printf(" %.0f", v);
-  std::printf("\n");
-  std::printf("output digest %016llx (reference round)\n",
-              static_cast<unsigned long long>(rounds.digests[0]));
-  if (!std::isfinite(rounds.loss_before) ||
-      !std::isfinite(rounds.loss_after)) {
-    result.Fail("training loss is not finite");
-  } else if (!(rounds.loss_after < rounds.loss_before)) {
-    result.Fail("training loss did not decrease");
-  }
-  if (rounds.skipped != 0) result.Fail("non-finite guard skipped steps");
-  result.attempted = std::max<int64_t>(rounds.steps, 1);
-  result.failed = rounds.skipped;
-  if (!args.trace) {
-    result.Add("setup_s", Median(rounds.setup_s), "s");
-    result.Add("train_tokens_per_s", rounds.TokensPerSecond(), "tokens/s");
-    result.Add("peak_rss_mb", rounds.first_round_peak_rss_mb, "MB");
-    return result;
-  }
-
-  const Counters start = Counters::Capture();
-  const auto fwd0 = HistogramMark::Capture("train.forward_us");
-  const auto bwd0 = HistogramMark::Capture("train.backward_us");
-  const auto opt0 = HistogramMark::Capture("train.optim_us");
-  const auto tp0 = HistogramMark::Capture("threadpool.queue_wait_us");
-  // The ThreadPool records its queue wait only while the program's own
-  // tracing is on; its cost shows in trace.overhead_frac.
-  bigcity::obs::SetTracingEnabled(true);
-  const Rounds traced = RunRounds(train_config, config, count, tracer);
-  bigcity::obs::SetTracingEnabled(false);
-  const Counters end = Counters::Capture();
-  auto p50_ms = [](const char* name, const HistogramMark& before) {
-    return HistogramMark::Capture(name).PercentileSince(before, 0.5) / 1000.0;
-  };
-  result.Add("train.pretrain_s", Median(traced.pretrain_s), "s");
-  result.Add("train.stage1_s", Median(traced.stage1_s), "s");
-  result.Add("train.stage2_s", Median(traced.stage2_s), "s");
-  result.Add("train.forward_ms.p50", p50_ms("train.forward_us", fwd0), "ms");
-  result.Add("train.backward_ms.p50", p50_ms("train.backward_us", bwd0), "ms");
-  result.Add("train.optim_ms.p50", p50_ms("train.optim_us", opt0), "ms");
-  result.Add("train.threadpool_wait_us.p99",
-             HistogramMark::Capture("threadpool.queue_wait_us")
-                 .PercentileSince(tp0, 0.99),
-             "us");
-  const double plan_hit = end.Delta(start, "plan.cache.hit");
-  const double plan_miss = end.Delta(start, "plan.cache.miss");
-  result.Add("plan.cache_hit_ratio", Ratio(plan_hit, plan_hit + plan_miss),
-             "ratio");
-  result.Add("plan.arena_mb", PlanArenaMb(), "MB");
-  result.Add("tokenizer.spatial_ms", traced.spatial_ms, "ms");
-  AddTraceOverhead(rounds.TokensPerSecond(), traced.TokensPerSecond(), false,
-                   &result);
   return result;
 }
 
@@ -1638,8 +1450,6 @@ int main(int argc, char** argv) {
     result = WalkDecode(args, &tracer);
   } else if (args.workload == "city_mix") {
     result = CityMix(args, &tracer);
-  } else if (args.workload == "train_slice") {
-    result = TrainSlice(args, &tracer);
   } else {
     Usage(("unknown workload " + args.workload).c_str());
   }
