@@ -4,7 +4,7 @@
 // shed rate per load level, plus
 //   - a batching A/B: an autoregressive walk workload (clients decode
 //     trajectories hop by hop) at the same three load levels against a
-//     batching-off server (no batcher, no tokenizer rep cache, no KV
+//     batching-off server (batch_max 1, no tokenizer rep cache, no KV
 //     sessions) and a batching-on server (DESIGN.md §4.14), both with a
 //     deadline and a queue wide enough to admit the whole closed loop,
 //     reporting the 4x-load throughput ratio and the mean batch size, and
@@ -23,7 +23,7 @@
 //
 // Usage: bench_serve [--city XA|BJ|CD] [--workers N] [--requests N]
 //                    [--threads N] [--batch-max N] [--batch-window-us F]
-//                    [--deadline-ms F] [--no-batching] [--fast] [--out PATH]
+//                    [--deadline-ms F] [--fast] [--out PATH]
 //                    [--trace-out PATH]
 //
 // --trace-out arms request-scoped tracing for the whole run and writes a
@@ -269,14 +269,11 @@ int main(int argc, char** argv) {
   int batch_max = 8;
   double batch_window_us = 200.0;
   double deadline_ms = 250.0;
-  bool batching = true;
   bool fast = false;
   std::string trace_out;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--fast") == 0) {
       fast = true;
-    } else if (std::strcmp(argv[i], "--no-batching") == 0) {
-      batching = false;
     } else if (i + 1 < argc && std::strcmp(argv[i], "--city") == 0) {
       city = argv[++i];
     } else if (i + 1 < argc && std::strcmp(argv[i], "--workers") == 0) {
@@ -301,8 +298,8 @@ int main(int argc, char** argv) {
           stderr,
           "usage: bench_serve [--city XA|BJ|CD] [--workers N] "
           "[--requests N] [--threads N] [--batch-max N] "
-          "[--batch-window-us F] [--deadline-ms F] [--no-batching] "
-          "[--fast] [--out PATH] [--trace-out PATH]\n");
+          "[--batch-window-us F] [--deadline-ms F] [--fast] [--out PATH] "
+          "[--trace-out PATH]\n");
       return 2;
     }
   }
@@ -327,15 +324,13 @@ int main(int argc, char** argv) {
     model_config.gat_hidden = 16;
   }
   std::printf("BIGCity serving benchmark (%s, %d worker%s, %d kernel "
-              "thread%s%s%s).\n",
+              "thread%s%s).\n",
               city.c_str(), workers, workers == 1 ? "" : "s", threads,
-              threads == 1 ? "" : "s", fast ? ", fast" : "",
-              batching ? "" : ", batching off");
+              threads == 1 ? "" : "s", fast ? ", fast" : "");
 
   serve::ServeOptions options;
   options.num_workers = workers;
   options.queue_capacity = workers;  // Tight bound: overload must shed.
-  options.batching = batching;
   options.batch_max = batch_max;
   options.batch_window_us = batch_window_us;
   serve::InferenceServer server(&dataset, model_config, options);
@@ -355,7 +350,7 @@ int main(int argc, char** argv) {
 
   // --- Batching A/B ------------------------------------------------------
   // An autoregressive closed loop (clients decode trajectories hop by
-  // hop), twice: once against the pre-batching runtime shape (no batcher,
+  // hop), twice: once against the pre-batching runtime shape (batch_max 1,
   // no shared tokenizer cache, no KV sessions) and once with the
   // continuous-batching engine (batched prefill + KV extension decodes).
   // Both arms get the serving deadline and a queue wide enough to admit
@@ -381,13 +376,14 @@ int main(int argc, char** argv) {
   for (int arm = 0; arm < 2; ++arm) {
     serve::ServeOptions arm_options = ab_options;
     const bool arm_batching = arm == 1;
-    arm_options.batching = arm_batching;
     if (arm_batching) {
       // Every 4x client's walk may land on any worker; size each worker's
       // session store to hold them all.
       arm_options.kv_sessions = std::max(arm_options.kv_sessions,
                                          4 * workers);
     } else {
+      // Every request dispatches alone, on arrival.
+      arm_options.batch_max = 1;
       arm_options.tokenizer_cache_slices = 0;
       arm_options.kv_sessions = 0;
     }

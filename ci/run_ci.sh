@@ -123,6 +123,14 @@ serve_smoke() {
   grep -q '"event":"telemetry"' "$out/serve_telemetry.jsonl"
   grep -q '"slo.' "$out/serve_metrics.json"
   grep -q '"serve.batch.wait_us"' "$out/serve_metrics.json"
+  # The batch-max-1 arm: every request dispatches alone through the same
+  # request path, so it must report the same validate and e2e telemetry.
+  log "$job: serve smoke (bigcity_cli serve --batch-max 1 replay)"
+  "$build/tools/bigcity_cli" serve --city XA --scale 0.05 \
+    --requests "$out/serve_trips.csv" --task next --workers 2 --queue 64 \
+    --batch-max 1 --metrics-out "$out/serve_metrics_batch1.json"
+  grep -q '"serve.validate_us"' "$out/serve_metrics_batch1.json"
+  grep -q '"serve.e2e_us"' "$out/serve_metrics_batch1.json"
   "$build/tools/bigcity_cli" metrics --in "$out/serve_metrics.json" \
     > "$out/metrics_render.txt"
   grep -q 'serve.e2e_us' "$out/metrics_render.txt"

@@ -405,9 +405,13 @@ std::vector<Tensor> BigCityModel::BatchNextHopLogits(
         StTokensFor(seq, std::vector<bool>(seq.segments.size(), false)));
     prompt.task_tokens = {TaskTokenKind::kClas};
     // A member arriving with cached attention state decodes only its
-    // suffix: truncate to the reusable region under the same rule as
-    // NextHopLogitsCached (everything but the previous call's [CLAS] row,
-    // capped at text + all but the last ST token).
+    // suffix. The caller guarantees the cache was populated by a decode
+    // over some served prefix of this trajectory, so every cached row
+    // except the last — the previous call's [CLAS] placeholder, which sat
+    // where a new ST token now goes — holds exactly this prompt's content
+    // at the same position. The reusable region is additionally capped at
+    // the text instruction plus all but the last ST token (a same-length
+    // re-serve still re-decodes its final token and placeholder).
     if (caches != nullptr && (*caches)[i] != nullptr &&
         (*caches)[i]->length() > 0) {
       const int64_t text_len = static_cast<int64_t>(prompt.text_ids.size());
@@ -564,50 +568,6 @@ util::Result<std::vector<Tensor>> BigCityModel::TryBatchPredictTraffic(
     }
   }
   return BatchPredictTraffic(queries);
-}
-
-// --- KV-cached decoding ------------------------------------------------------
-
-Tensor BigCityModel::NextHopLogitsCached(const data::Trajectory& prefix,
-                                         nn::KvCache* cache) {
-  BIGCITY_CHECK(cache != nullptr);
-  BIGCITY_CHECK_GE(prefix.length(), 1);
-  StUnitSequence seq = StUnitSequence::FromTrajectory(prefix);
-  PromptInput prompt = MakePrompt(
-      Task::kNextHop,
-      StTokensFor(seq, std::vector<bool>(seq.segments.size(), false)));
-  prompt.task_tokens = {TaskTokenKind::kClas};
-  // The caller guarantees the cache was populated by a decode over some
-  // served prefix of this trajectory, so every cached row except the last
-  // — the previous call's [CLAS] placeholder, which sat where a new ST
-  // token now goes — holds exactly this prompt's content at the same
-  // position. The reusable region is additionally capped at the text
-  // instruction plus all but the last ST token (a same-length re-serve
-  // still re-decodes its final token and placeholder).
-  const int64_t text_len = static_cast<int64_t>(prompt.text_ids.size());
-  const int64_t shared_max = std::min<int64_t>(
-      cache->length() > 0 ? cache->length() - 1 : 0,
-      text_len + static_cast<int64_t>(seq.length()) - 1);
-  if (cache->length() > shared_max) cache->Truncate(shared_max);
-  BackboneOutput out = backbone_->ForwardCached(prompt, cache);
-  return heads_->SegmentLogits(out.task_outputs);
-}
-
-util::Result<Tensor> BigCityModel::TryNextHopLogitsCached(
-    const data::Trajectory& prefix, nn::KvCache* cache) {
-  BIGCITY_CHECK(cache != nullptr);
-  if (auto s = ScreenTrajectory(prefix, dataset_->network().num_segments(),
-                                1, "next-hop");
-      !s.ok()) {
-    return s;
-  }
-  data::Trajectory clipped = ClipTrajectory(prefix);
-  if (clipped.length() != prefix.length()) {
-    // Clipping resamples interior points, so cached positions no longer
-    // correspond to this prefix's tokens.
-    cache->Clear();
-  }
-  return NextHopLogitsCached(clipped, cache);
 }
 
 // --- Stage-1 masked reconstruction ---------------------------------------------

@@ -81,9 +81,11 @@ class BigCityModel : public nn::Module {
   /// entry per prefix, entries may be null) each non-null empty KvCache
   /// receives that prefix's backbone attention state — a batched prefill —
   /// while a non-null cache holding the state of a served prefix of the
-  /// same trajectory decodes only its suffix rows against it (a batched
-  /// NextHopLogitsCached). Mixed batches are fine; results are
-  /// bit-identical to the single-request methods either way.
+  /// same trajectory (the caller guarantees the match, e.g. by keying the
+  /// cache on the trajectory prefix) decodes only its suffix rows against
+  /// it: KV-cached autoregressive decoding, at any batch size including
+  /// one. Mixed batches are fine; results are bit-identical to
+  /// NextHopLogits either way.
   std::vector<nn::Tensor> BatchNextHopLogits(
       const std::vector<data::Trajectory>& prefixes,
       const std::vector<nn::KvCache*>* caches = nullptr);
@@ -110,21 +112,6 @@ class BigCityModel : public nn::Module {
       const std::vector<data::Trajectory>& trajectories);
   util::Result<std::vector<nn::Tensor>> TryBatchPredictTraffic(
       const std::vector<TrafficQuery>& queries);
-
-  // --- KV-cached autoregressive decoding ----------------------------------
-
-  /// Next-hop logits reusing the cached attention state of a previous call
-  /// whose prompt shares this prefix's tokens (the caller guarantees the
-  /// cached positions match, e.g. by keying the cache on the trajectory
-  /// prefix). The cache is truncated to the shared region — text
-  /// instruction plus the first L-1 ST tokens — and only the final ST
-  /// token and the [CLAS] placeholder run through the transformer.
-  /// Bit-identical to NextHopLogits; an empty cache degenerates to a full
-  /// (still bit-identical) forward that populates the cache.
-  nn::Tensor NextHopLogitsCached(const data::Trajectory& prefix,
-                                 nn::KvCache* cache);
-  util::Result<nn::Tensor> TryNextHopLogitsCached(
-      const data::Trajectory& prefix, nn::KvCache* cache);
 
   // --- Validated (Status-returning) inference entry points --------------
   //

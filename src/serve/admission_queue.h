@@ -16,10 +16,12 @@ namespace bigcity::serve {
 
 /// Bounded MPMC admission queue with explicit load shedding: TryPush never
 /// blocks — a full queue rejects immediately so overload turns into fast
-/// kResourceExhausted responses instead of unbounded latency growth.
-/// Pop blocks until an item, or until Close() with an empty queue (the
-/// shutdown signal for workers). Header-only template so the item type
-/// (request + promise + deadline bookkeeping) stays private to the server.
+/// kResourceExhausted responses instead of unbounded latency growth. A
+/// popped item keeps its admission slot until the consumer calls
+/// Release(), so the bound covers every admitted item that has not been
+/// handed on yet, including those a consumer holds back (the batcher's
+/// pending groups). Header-only template so the item type (request +
+/// promise + deadline bookkeeping) stays private to the server.
 template <typename T>
 class AdmissionQueue {
  public:
@@ -37,31 +39,18 @@ class AdmissionQueue {
       std::lock_guard<std::mutex> lock(mu_);
       const size_t bound = std::min(
           capacity_, effective_capacity_.load(std::memory_order_relaxed));
-      if (closed_ || items_.size() >= bound) return false;
+      if (closed_ || items_.size() + held_ >= bound) return false;
       items_.push_back(std::move(item));
     }
     ready_cv_.notify_one();
     return true;
   }
 
-  /// Blocks for the next item; nullopt once closed and drained.
-  std::optional<T> Pop() {
-    std::unique_lock<std::mutex> lock(mu_);
-    ready_cv_.wait(lock, [&] { return closed_ || !items_.empty(); });
-    if (items_.empty()) return std::nullopt;
-    T item = std::move(items_.front());
-    items_.pop_front();
-    return item;
-  }
-
   /// Non-blocking pop; nullopt when the queue is currently empty. The
   /// batcher drains arrivals with this before deciding what to dispatch.
   std::optional<T> TryPop() {
     std::lock_guard<std::mutex> lock(mu_);
-    if (items_.empty()) return std::nullopt;
-    T item = std::move(items_.front());
-    items_.pop_front();
-    return item;
+    return PopLocked();
   }
 
   /// Blocks up to `timeout_us` for the next item. Returns nullopt on
@@ -76,10 +65,13 @@ class AdmissionQueue {
                          return closed_ || !items_.empty() ||
                                 kick_epoch_ != seen;
                        });
-    if (items_.empty()) return std::nullopt;
-    T item = std::move(items_.front());
-    items_.pop_front();
-    return item;
+    return PopLocked();
+  }
+
+  /// Frees the admission slots of `count` popped items.
+  void Release(size_t count) {
+    std::lock_guard<std::mutex> lock(mu_);
+    held_ -= std::min(held_, count);
   }
 
   /// Wakes every blocked PopFor() without delivering an item. The batcher
@@ -98,7 +90,7 @@ class AdmissionQueue {
     return closed_;
   }
 
-  /// Stops admissions and wakes blocked Pop() calls. Items already queued
+  /// Stops admissions and wakes blocked PopFor() calls. Items already queued
   /// are still handed out (drain-then-stop shutdown).
   void Close() {
     {
@@ -108,6 +100,7 @@ class AdmissionQueue {
     ready_cv_.notify_all();
   }
 
+  /// Items waiting to be popped (popped-but-unreleased ones excluded).
   size_t depth() const {
     std::lock_guard<std::mutex> lock(mu_);
     return items_.size();
@@ -130,11 +123,20 @@ class AdmissionQueue {
   }
 
  private:
+  std::optional<T> PopLocked() {
+    if (items_.empty()) return std::nullopt;
+    T item = std::move(items_.front());
+    items_.pop_front();
+    ++held_;
+    return item;
+  }
+
   const size_t capacity_;
   std::atomic<size_t> effective_capacity_;
   mutable std::mutex mu_;
   std::condition_variable ready_cv_;
   std::deque<T> items_;
+  size_t held_ = 0;  // Popped but not yet released.
   uint64_t kick_epoch_ = 0;
   bool closed_ = false;
 };

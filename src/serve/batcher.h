@@ -18,7 +18,9 @@ namespace bigcity::serve {
 /// Continuous-batching stage between the admission queue and the workers
 /// (DESIGN.md §4.14). Workers call NextBatch() instead of popping the
 /// queue directly; the batcher drains arrivals into per-key pending
-/// groups and hands out same-key batches. A group dispatches when
+/// groups and hands out same-key batches. A pending item keeps its
+/// admission-queue slot until it is dispatched, so the queue bound covers
+/// the batcher's backlog too. A group dispatches when
 ///   - it reaches `batch_max` items,
 ///   - its oldest item has waited `window_us` since the batcher saw it,
 ///   - any member is urgent — remaining deadline within the caller's
@@ -91,14 +93,6 @@ class Batcher {
         Add(std::move(*item));
       }
     }
-  }
-
-  /// Items drained from the queue but not yet dispatched (tests).
-  size_t pending() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    size_t total = 0;
-    for (const Group& group : groups_) total += group.items.size();
-    return total;
   }
 
  private:
@@ -187,6 +181,7 @@ class Batcher {
     }
     group.items.erase(group.items.begin(),
                       group.items.begin() + static_cast<ptrdiff_t>(take));
+    queue_->Release(take);
     groups_.erase(
         std::remove_if(groups_.begin(), groups_.end(),
                        [](const Group& g) { return g.items.empty(); }),
@@ -225,7 +220,7 @@ class Batcher {
   const std::function<void(T&, double)> dispatch_fn_;
   const std::function<int()> batch_max_fn_;
 
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::vector<Group> groups_;
 };
 

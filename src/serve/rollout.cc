@@ -1,7 +1,5 @@
 #include "serve/rollout.h"
 
-#include <algorithm>
-
 namespace bigcity::serve {
 
 const char* RolloutStateName(RolloutState state) {
@@ -25,19 +23,11 @@ const char* RolloutStateName(RolloutState state) {
 }
 
 void CohortStats::RecordSuccess(double forward_us) {
-  std::lock_guard<std::mutex> lock(mu_);
-  ++requests_;
-  if (discard_latency_ > 0) {
-    --discard_latency_;
-    return;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    ++requests_;
   }
-  if (latencies_.size() < kWindow) {
-    latencies_.push_back(forward_us);
-  } else {
-    latencies_[next_] = forward_us;
-    next_ = (next_ + 1) % kWindow;
-  }
-  ++latency_count_;
+  latency_.Record(forward_us);
 }
 
 void CohortStats::RecordFailure() {
@@ -59,17 +49,8 @@ CohortStats::Snapshot CohortStats::Get() const {
   snapshot.requests = requests_;
   snapshot.failures = failures_;
   snapshot.nonfinite = nonfinite_;
-  snapshot.latency_samples = latency_count_;
-  if (!latencies_.empty()) {
-    std::vector<double> sorted = latencies_;
-    const size_t rank = std::min(
-        sorted.size() - 1,
-        static_cast<size_t>(0.95 * static_cast<double>(sorted.size())));
-    std::nth_element(sorted.begin(),
-                     sorted.begin() + static_cast<ptrdiff_t>(rank),
-                     sorted.end());
-    snapshot.p95_us = sorted[rank];
-  }
+  snapshot.latency_samples = latency_.count();
+  snapshot.p95_us = latency_.P95();
   return snapshot;
 }
 
@@ -78,10 +59,7 @@ void CohortStats::Reset(int discard_latency_samples) {
   requests_ = 0;
   failures_ = 0;
   nonfinite_ = 0;
-  discard_latency_ = std::max(0, discard_latency_samples);
-  latencies_.clear();
-  next_ = 0;
-  latency_count_ = 0;
+  latency_.Reset(discard_latency_samples);
 }
 
 GateVerdict EvaluateCanary(const CohortStats::Snapshot& stable,

@@ -5,7 +5,8 @@
 #include <cstdint>
 #include <mutex>
 #include <string>
-#include <vector>
+
+#include "serve/latency_window.h"
 
 namespace bigcity::serve {
 
@@ -106,15 +107,11 @@ class CohortStats {
   void Reset(int discard_latency_samples = 0);
 
  private:
-  static constexpr size_t kWindow = 128;
   mutable std::mutex mu_;
   uint64_t requests_ = 0;
   uint64_t failures_ = 0;
   uint64_t nonfinite_ = 0;
-  int discard_latency_ = 0;
-  std::vector<double> latencies_;  // Ring once kWindow is reached.
-  size_t next_ = 0;
-  uint64_t latency_count_ = 0;
+  LatencyWindow latency_;
 };
 
 enum class GateVerdict {

@@ -43,6 +43,31 @@ Outcome OutcomeForStatus(const util::Status& status) {
   }
 }
 
+/// Polls `done` every 2 ms until it holds or `timeout_ms` elapses.
+template <typename Predicate>
+bool PollUntil(Predicate done, double timeout_ms) {
+  const Clock::time_point deadline =
+      Clock::now() + std::chrono::duration_cast<Clock::duration>(
+                         std::chrono::duration<double, std::milli>(timeout_ms));
+  while (!done()) {
+    if (Clock::now() >= deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  return true;
+}
+
+Response ErrorResponse(util::Status status) {
+  Response response;
+  response.status = std::move(status);
+  return response;
+}
+
+/// Wraps a single-request entry's result as a one-member batch result.
+util::Result<std::vector<nn::Tensor>> AsBatch(util::Result<nn::Tensor> result) {
+  if (!result.ok()) return result.status();
+  return std::vector<nn::Tensor>{std::move(result).value()};
+}
+
 bool AllFinite(const nn::Tensor& tensor) {
   for (float value : tensor.data()) {
     if (!std::isfinite(value)) return false;
@@ -80,39 +105,6 @@ int BatchKeyFor(const core::Task task) {
 }
 
 }  // namespace
-
-// --- LatencyEstimator -------------------------------------------------------
-
-void InferenceServer::LatencyEstimator::Record(double us) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (samples_.size() < kWindow) {
-    samples_.push_back(us);
-  } else {
-    samples_[next_] = us;
-    next_ = (next_ + 1) % kWindow;
-  }
-  ++count_;
-}
-
-void InferenceServer::LatencyEstimator::Seed(double us, int copies) {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (int i = 0; i < copies && samples_.size() < kWindow; ++i) {
-    samples_.push_back(us);
-  }
-  count_ += static_cast<size_t>(copies);
-}
-
-double InferenceServer::LatencyEstimator::P95(int min_samples) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (count_ < static_cast<size_t>(min_samples) || samples_.empty()) return 0;
-  std::vector<double> sorted = samples_;
-  const size_t rank =
-      std::min(sorted.size() - 1,
-               static_cast<size_t>(0.95 * static_cast<double>(sorted.size())));
-  std::nth_element(sorted.begin(),
-                   sorted.begin() + static_cast<ptrdiff_t>(rank), sorted.end());
-  return sorted[rank];
-}
 
 // --- InferenceServer --------------------------------------------------------
 
@@ -244,7 +236,7 @@ util::Status InferenceServer::Start() {
     overload_options.sojourn_interval_ms = options_.sojourn_interval_ms;
     overload_ = std::make_unique<OverloadController>(overload_options);
   }
-  if (options_.batching) {
+  {
     Batcher<WorkItem>::Options batch_options;
     batch_options.batch_max = std::max(1, options_.batch_max);
     batch_options.window_us = std::max(0.0, options_.batch_window_us);
@@ -481,7 +473,7 @@ std::future<Response> InferenceServer::Submit(Request request) {
   BIGCITY_TRACE_ID_SCOPE(item.trace_id);
   BIGCITY_TRACE_SPAN("serve.submit", "serve");
   // Flow origin: the 's' event inside the submit span starts this
-  // request's chrome://tracing flow; Process/ProcessBatch step it ('t')
+  // request's chrome://tracing flow; ProcessBatch steps it ('t')
   // on the worker thread and Finish terminates it ('f').
   BIGCITY_TRACE_FLOW("serve.request", "serve", 's', item.trace_id);
   const double deadline_ms = request.deadline_ms > 0
@@ -505,10 +497,8 @@ std::future<Response> InferenceServer::Submit(Request request) {
       (item.has_deadline && Clock::now() >= item.deadline);
   if (expired) {
     BIGCITY_COUNTER_INC("serve.deadline.pre_queue");
-    Response response;
-    response.status =
-        util::Status::DeadlineExceeded("deadline expired before admission");
-    Finish(item, std::move(response));
+    Finish(item, ErrorResponse(util::Status::DeadlineExceeded(
+                     "deadline expired before admission")));
     return future;
   }
 
@@ -518,10 +508,8 @@ std::future<Response> InferenceServer::Submit(Request request) {
   if (overload_ != nullptr && !overload_->AdmitOk()) {
     BIGCITY_COUNTER_INC("serve.overload.shed");
     overload_sheds_.fetch_add(1, std::memory_order_relaxed);
-    Response response;
-    response.status = util::Status::ResourceExhausted(
-        "memory overload: shedding admissions");
-    Finish(item, std::move(response));
+    Finish(item, ErrorResponse(util::Status::ResourceExhausted(
+                     "memory overload: shedding admissions")));
     return future;
   }
 
@@ -529,10 +517,9 @@ std::future<Response> InferenceServer::Submit(Request request) {
     // TryPush takes an rvalue reference and only moves on success, so the
     // promise is still ours to resolve.
     BIGCITY_COUNTER_INC("serve.shed");
-    Response response;
-    response.status = util::Status::ResourceExhausted(
-        running_ ? "admission queue full" : "server not running");
-    Finish(item, std::move(response));
+    Finish(item, ErrorResponse(util::Status::ResourceExhausted(
+                     running_ ? "admission queue full"
+                              : "server not running")));
     return future;
   }
   BIGCITY_GAUGE_SET("serve.queue_depth", queue_.depth());
@@ -625,49 +612,35 @@ util::Status InferenceServer::ValidateRequest(const Request& request) const {
   return util::Status::InvalidArgument("unknown task");
 }
 
-util::Result<nn::Tensor> InferenceServer::RunModel(
-    const Request& request, core::BigCityModel* model) {
+Response InferenceServer::Degrade(const Request& request) const {
+  util::Result<nn::Tensor> fallback =
+      util::Status::Unavailable("task has no degraded fallback");
   switch (request.task) {
     case core::Task::kNextHop:
-      return model->TryNextHopLogits(request.trajectory);
+      fallback = baseline_.NextHopScores(request.trajectory);
+      break;
     case core::Task::kTravelTimeEstimation:
-      return model->TryTravelTimeDeltas(request.trajectory);
-    case core::Task::kTrajClassification:
-      return model->TryClassifyLogits(request.trajectory);
-    case core::Task::kMostSimilarSearch:
-      return model->TryEmbed(request.trajectory);
-    case core::Task::kTrajRecovery:
-      return model->TryRecoverLogits(request.trajectory, request.kept);
+      fallback = baseline_.TravelTimeDeltas(request.trajectory);
+      break;
     case core::Task::kTrafficOneStep:
-      return model->TryPredictTraffic(request.segment, request.start_slice,
-                                      1);
+      fallback = baseline_.PredictTraffic(request.segment, request.start_slice,
+                                          model_config_.traffic_input_steps, 1);
+      break;
     case core::Task::kTrafficMultiStep:
-      return model->TryPredictTraffic(request.segment, request.start_slice,
-                                      request.horizon);
-    case core::Task::kTrafficImputation:
-      return model->TryImputeTraffic(request.segment, request.start_slice,
-                                     request.window, request.masked);
-  }
-  return util::Status::InvalidArgument("unknown task");
-}
-
-util::Result<nn::Tensor> InferenceServer::RunBaseline(
-    const Request& request) const {
-  switch (request.task) {
-    case core::Task::kNextHop:
-      return baseline_.NextHopScores(request.trajectory);
-    case core::Task::kTravelTimeEstimation:
-      return baseline_.TravelTimeDeltas(request.trajectory);
-    case core::Task::kTrafficOneStep:
-      return baseline_.PredictTraffic(request.segment, request.start_slice,
-                                      model_config_.traffic_input_steps, 1);
-    case core::Task::kTrafficMultiStep:
-      return baseline_.PredictTraffic(request.segment, request.start_slice,
-                                      model_config_.traffic_input_steps,
-                                      request.horizon);
+      fallback = baseline_.PredictTraffic(request.segment, request.start_slice,
+                                          model_config_.traffic_input_steps,
+                                          request.horizon);
+      break;
     default:
-      return util::Status::Unavailable("task has no degraded fallback");
+      break;
   }
+  Response response;
+  response.status = fallback.status();
+  if (fallback.ok()) {
+    response.output = std::move(fallback).value();
+    response.degraded = true;
+  }
+  return response;
 }
 
 /// Plan identity for a request: task name plus a power-of-two bucket of
@@ -698,105 +671,265 @@ nn::PlanKey PlanKeyFor(const Request& request) {
   return nn::PlanKey{core::TaskName(request.task), bucket};
 }
 
-Response InferenceServer::Process(WorkItem& item, Replica& replica,
-                                  nn::PlanCache* plans, KvSessionStore* kv) {
-  // Id scope first so the span's destructor still sees it when stamping.
-  BIGCITY_TRACE_ID_SCOPE(item.trace_id);
-  BIGCITY_TRACE_SPAN("serve.process", "serve");
-  BIGCITY_TRACE_FLOW("serve.request", "serve", 't', item.trace_id);
-  // Deterministic wedge site (after the flow step so a reaped request's
+std::optional<InferenceServer::KvSession> InferenceServer::CheckoutKvSession(
+    KvSessionStore* kv, uint64_t version,
+    const data::Trajectory& trajectory) {
+  std::lock_guard<std::mutex> lock(kv->mu);
+  auto best = kv->sessions.end();
+  for (auto it = kv->sessions.begin(); it != kv->sessions.end(); ++it) {
+    if (it->version != version) continue;
+    if (it->cache.length() == 0) continue;
+    if (!IsServedPrefix(it->served, trajectory)) continue;
+    if (best == kv->sessions.end() ||
+        it->served.length() > best->served.length()) {
+      best = it;
+    }
+  }
+  if (best == kv->sessions.end()) return std::nullopt;
+  KvSession session = std::move(*best);
+  kv->sessions.erase(best);
+  return session;
+}
+
+void InferenceServer::EvictKvSessionsLocked(KvSessionStore* kv,
+                                            size_t keep) {
+  while (kv->sessions.size() > keep) {
+    auto oldest = kv->sessions.begin();
+    for (auto it = kv->sessions.begin(); it != kv->sessions.end(); ++it) {
+      if (it->tick < oldest->tick) oldest = it;
+    }
+    kv->sessions.erase(oldest);
+  }
+}
+
+void InferenceServer::CheckinKvSession(KvSessionStore* kv,
+                                       KvSession session) {
+  std::lock_guard<std::mutex> lock(kv->mu);
+  const size_t capacity = kv->capacity.load(std::memory_order_relaxed);
+  // Overload control may have shrunk the store to nothing while the
+  // session was checked out.
+  if (capacity == 0) return;
+  EvictKvSessionsLocked(kv, capacity - 1);
+  session.tick = ++kv->tick;
+  kv->sessions.push_back(std::move(session));
+}
+
+util::Result<std::vector<nn::Tensor>> InferenceServer::RunForward(
+    core::Task task, const std::vector<WorkItem*>& items, Replica& replica,
+    KvSessionStore* kv) {
+  // Only the batchable tasks have a batched entry; the batcher dispatches
+  // the others alone.
+  BIGCITY_CHECK(items.size() == 1 || BatchKeyFor(task) >= 0);
+  core::BigCityModel* model = replica.model.get();
+  const Request& first = items[0]->request;
+  const auto trajectories = [&items] {
+    std::vector<data::Trajectory> out;
+    out.reserve(items.size());
+    for (const WorkItem* item : items) out.push_back(item->request.trajectory);
+    return out;
+  };
+  switch (task) {
+    case core::Task::kNextHop: {
+      std::vector<data::Trajectory> prefixes = trajectories();
+      if (kv == nullptr ||
+          kv->capacity.load(std::memory_order_relaxed) == 0) {
+        return model->TryBatchNextHopLogits(prefixes);
+      }
+      // Continuous batching over the shared KV store: members extending a
+      // served prefix check their session out (the forward runs only
+      // their suffix rows against it), the rest get fresh sessions the
+      // same forward prefills. Stacking hits and misses into one tall
+      // forward is what amortizes the frozen weights' memory traffic — the
+      // dominant cost of a short decode — across the whole batch. Sessions
+      // are version-scoped, worker-local while checked out, and only
+      // returned to the store on success; a failed forward leaves no
+      // trace.
+      std::vector<KvSession> sessions(items.size());
+      std::vector<nn::KvCache*> caches(items.size(), nullptr);
+      for (size_t i = 0; i < items.size(); ++i) {
+        if (prefixes[i].length() < 2) continue;
+        std::optional<KvSession> hit =
+            CheckoutKvSession(kv, replica.version, prefixes[i]);
+        if (hit.has_value()) {
+          BIGCITY_COUNTER_INC("serve.cache.kv.hit");
+          sessions[i] = std::move(*hit);
+        } else {
+          BIGCITY_COUNTER_INC("serve.cache.kv.miss");
+          sessions[i].version = replica.version;
+        }
+        caches[i] = &sessions[i].cache;
+      }
+      util::Result<std::vector<nn::Tensor>> result =
+          model->TryBatchNextHopLogits(prefixes, &caches);
+      if (result.ok()) {
+        // The new K/V slices live in the forward's plan arena; pin the
+        // copies to the heap so the sessions outlive the arena rewind.
+        nn::ArenaPin pin;
+        for (size_t i = 0; i < items.size(); ++i) {
+          if (caches[i] == nullptr) continue;
+          sessions[i].cache.DetachToHeap();
+          sessions[i].served = std::move(prefixes[i]);
+          CheckinKvSession(kv, std::move(sessions[i]));
+        }
+      }
+      return result;
+    }
+    case core::Task::kTravelTimeEstimation:
+      return model->TryBatchTravelTimeDeltas(trajectories());
+    case core::Task::kTrafficOneStep:
+    case core::Task::kTrafficMultiStep: {
+      std::vector<core::BigCityModel::TrafficQuery> queries;
+      queries.reserve(items.size());
+      for (const WorkItem* item : items) {
+        const Request& request = item->request;
+        const int horizon =
+            task == core::Task::kTrafficOneStep ? 1 : request.horizon;
+        queries.push_back(core::BigCityModel::TrafficQuery{
+            request.segment, request.start_slice, horizon});
+      }
+      return model->TryBatchPredictTraffic(queries);
+    }
+    case core::Task::kTrajClassification:
+      return AsBatch(model->TryClassifyLogits(first.trajectory));
+    case core::Task::kMostSimilarSearch:
+      return AsBatch(model->TryEmbed(first.trajectory));
+    case core::Task::kTrajRecovery:
+      return AsBatch(model->TryRecoverLogits(first.trajectory, first.kept));
+    case core::Task::kTrafficImputation:
+      return AsBatch(model->TryImputeTraffic(first.segment, first.start_slice,
+                                             first.window, first.masked));
+  }
+  return util::Status::InvalidArgument("unknown task");
+}
+
+void InferenceServer::ProcessBatch(const std::vector<WorkItem*>& items,
+                                   Replica& replica, nn::PlanCache* plans,
+                                   KvSessionStore* kv) {
+  // A lone request's spans carry its trace id. A batch's shared span
+  // carries none; one 't' step per member inside it binds every member's
+  // flow to the shared forward, so chrome://tracing renders each request
+  // as submit -> this span -> its finish, on one connected flow.
+  [[maybe_unused]] const bool alone = items.size() == 1;
+  BIGCITY_TRACE_ID_SCOPE(alone ? items[0]->trace_id : 0);
+  BIGCITY_TRACE_SPAN(alone ? "serve.process" : "serve.process_batch",
+                     "serve");
+  for ([[maybe_unused]] const WorkItem* item : items) {
+    BIGCITY_TRACE_FLOW("serve.request", "serve", 't', item->trace_id);
+  }
+  // Deterministic wedge site (after the flow steps so a reaped request's
   // trace is still submit -> worker -> reap): the thread spins here for
   // the armed Param ms, exactly like a forward stuck in a pathological
-  // input, and the watchdog must recover without its cooperation.
+  // input, and the watchdog must recover without its cooperation. Every
+  // member of a stalled batch is reaped together.
   util::FaultInjection::MaybeStall(util::kFaultServeWorkerStall);
-  Response response;
-  response.model_version = replica.version;
-  const Request& request = item.request;
+  const core::Task task = items[0]->request.task;
   CohortStats* cohort = replica.cohort.load(std::memory_order_relaxed);
-  const bool is_canary = cohort == &canary_stats_;
+  const auto finish = [this, &replica](WorkItem& item, Response response) {
+    response.model_version = replica.version;
+    if (response.status.ok()) BIGCITY_COUNTER_INC("serve.completed");
+    Finish(item, std::move(response));
+  };
 
-  // Checkpoint 2 (pre-tokenize / post-dequeue): time spent queued counts
-  // against the budget.
-  if (util::FaultInjection::Fire(util::kFaultServeExpireAtTokenize) ||
-      (item.has_deadline && Clock::now() >= item.deadline)) {
-    BIGCITY_COUNTER_INC("serve.deadline.pre_tokenize");
-    response.status =
-        util::Status::DeadlineExceeded("deadline expired before tokenize");
-    return response;
-  }
-
-  {
-    BIGCITY_TIMED_SCOPE_NAMED("serve.validate_us", "serve.validate", "serve");
-    const Clock::time_point validate_start = Clock::now();
-    util::Status status = ValidateRequest(request);
-    item.stages.validate_us += MicrosSince(validate_start, Clock::now());
+  // Per-member admission stages first: every request keeps its own typed
+  // failure; only the survivors share the forward.
+  std::vector<WorkItem*> live;
+  live.reserve(items.size());
+  for (WorkItem* item : items) {
+    // Checkpoint 2 (pre-tokenize / post-dequeue): time spent queued
+    // counts against the budget.
+    if (util::FaultInjection::Fire(util::kFaultServeExpireAtTokenize) ||
+        (item->has_deadline && Clock::now() >= item->deadline)) {
+      BIGCITY_COUNTER_INC("serve.deadline.pre_tokenize");
+      finish(*item, ErrorResponse(util::Status::DeadlineExceeded(
+                        "deadline expired before tokenize")));
+      continue;
+    }
+    util::Status status = util::Status::Ok();
+    {
+      BIGCITY_TRACE_ID_SCOPE(item->trace_id);
+      BIGCITY_TIMED_SCOPE_NAMED("serve.validate_us", "serve.validate",
+                                "serve");
+      const Clock::time_point validate_start = Clock::now();
+      status = ValidateRequest(item->request);
+      item->stages.validate_us += MicrosSince(validate_start, Clock::now());
+    }
     if (!status.ok()) {
       BIGCITY_COUNTER_INC("serve.quarantined");
-      response.status = std::move(status);
-      return response;
+      finish(*item, ErrorResponse(std::move(status)));
+      continue;
     }
+    // Checkpoint 3 (pre-forward): last exit before the expensive stage.
+    if (util::FaultInjection::Fire(util::kFaultServeExpireAtForward) ||
+        (item->has_deadline && Clock::now() >= item->deadline)) {
+      BIGCITY_COUNTER_INC("serve.deadline.pre_forward");
+      finish(*item, ErrorResponse(util::Status::DeadlineExceeded(
+                        "deadline expired before forward")));
+      continue;
+    }
+    live.push_back(item);
   }
+  if (live.empty()) return;
 
-  // Checkpoint 3 (pre-forward): last exit before the expensive stage.
-  if (util::FaultInjection::Fire(util::kFaultServeExpireAtForward) ||
-      (item.has_deadline && Clock::now() >= item.deadline)) {
-    BIGCITY_COUNTER_INC("serve.deadline.pre_forward");
-    response.status =
-        util::Status::DeadlineExceeded("deadline expired before forward");
-    return response;
-  }
-
-  // Graceful degradation, path 1: circuit breaker.
-  CircuitBreaker& breaker = BreakerFor(request.task);
+  // Graceful degradation, path 1: circuit breaker. One forward is one unit
+  // of breaker accounting; a rejection degrades (or rejects) every member.
+  CircuitBreaker& breaker = BreakerFor(task);
   const CircuitBreaker::Decision decision = breaker.Admit(Clock::now());
-  PublishBreakerState(request.task);
+  PublishBreakerState(task);
   if (decision == CircuitBreaker::Decision::kReject) {
-    if (options_.degrade_when_breaker_open && DegradableTask(request.task)) {
-      BIGCITY_COUNTER_INC("serve.degraded.breaker");
-      util::Result<nn::Tensor> fallback = RunBaseline(request);
-      response.status = fallback.status();
-      if (fallback.ok()) {
-        response.output = std::move(fallback).value();
-        response.degraded = true;
+    for (WorkItem* item : live) {
+      if (options_.degrade_when_breaker_open && DegradableTask(task)) {
+        BIGCITY_COUNTER_INC("serve.degraded.breaker");
+        finish(*item, Degrade(item->request));
+      } else {
+        BIGCITY_COUNTER_INC("serve.breaker.rejected");
+        Response response =
+            ErrorResponse(util::Status::Unavailable("circuit breaker open"));
+        response.outcome = Outcome::kRejected;
+        finish(*item, std::move(response));
       }
-      return response;
     }
-    BIGCITY_COUNTER_INC("serve.breaker.rejected");
-    response.status = util::Status::Unavailable("circuit breaker open");
-    response.outcome = Outcome::kRejected;
-    return response;
+    return;
   }
   if (decision == CircuitBreaker::Decision::kProbe) {
     BIGCITY_COUNTER_INC("serve.breaker.probes");
   }
 
-  // Graceful degradation, path 2: remaining budget below p95 forward time.
-  // A probe is exempt — its whole point is to exercise the real path.
-  if (decision == CircuitBreaker::Decision::kAllow && item.has_deadline &&
-      options_.degrade_on_tight_budget && DegradableTask(request.task)) {
+  // Graceful degradation, path 2: a member whose remaining budget is below
+  // the p95 forward time. A probe is exempt — its whole point is to
+  // exercise the real path.
+  if (decision == CircuitBreaker::Decision::kAllow &&
+      options_.degrade_on_tight_budget && DegradableTask(task)) {
     const double p95_us = forward_latency_.P95(options_.latency_min_samples);
-    if (p95_us > 0 && RemainingUs(item.deadline, Clock::now()) < p95_us) {
-      BIGCITY_COUNTER_INC("serve.degraded.budget");
-      util::Result<nn::Tensor> fallback = RunBaseline(request);
-      response.status = fallback.status();
-      if (fallback.ok()) {
-        response.output = std::move(fallback).value();
-        response.degraded = true;
+    std::vector<WorkItem*> kept;
+    kept.reserve(live.size());
+    for (WorkItem* item : live) {
+      if (p95_us > 0 && item->has_deadline &&
+          RemainingUs(item->deadline, Clock::now()) < p95_us) {
+        BIGCITY_COUNTER_INC("serve.degraded.budget");
+        finish(*item, Degrade(item->request));
+      } else {
+        kept.push_back(item);
       }
-      return response;
     }
+    live = std::move(kept);
+    if (live.empty()) return;
   }
 
-  // Forward with bounded-backoff retries around transient failures.
-  // Everything between here and the start of the attempt that succeeds —
-  // backoff sleeps plus failed attempts — is the request's retry
-  // overhead in the stage breakdown.
+  // One forward for the survivors. A lone request retries transient
+  // failures with bounded backoff; everything between here and the start
+  // of the attempt that succeeds — backoff sleeps plus failed attempts —
+  // is its retry overhead in the stage breakdown. A batch gets one
+  // attempt and is split below when it fails.
+  for (WorkItem* item : live) item->batch_size = static_cast<int>(live.size());
+  const int attempts = live.size() == 1 ? options_.max_retries + 1 : 1;
   const Clock::time_point attempts_start = Clock::now();
   util::Status last_status = util::Status::Ok();
-  for (int attempt = 0; attempt <= options_.max_retries; ++attempt) {
+  int retries = 0;
+  for (int attempt = 0; attempt < attempts; ++attempt) {
     if (attempt > 0) {
       BIGCITY_COUNTER_INC("serve.retries");
-      ++response.retries;
+      ++retries;
+      WorkItem& item = *live[0];
       double backoff_ms = options_.retry_backoff_ms *
                           static_cast<double>(1 << std::min(attempt - 1, 3));
       if (item.has_deadline) {
@@ -804,13 +937,16 @@ Response InferenceServer::Process(WorkItem& item, Replica& replica,
             RemainingUs(item.deadline, Clock::now()) / 1000.0;
         if (remaining_ms <= 0) {
           BIGCITY_COUNTER_INC("serve.deadline.pre_forward");
-          response.status = util::Status::DeadlineExceeded(
-              "deadline expired during retry backoff");
           if (breaker.RecordFailure(Clock::now())) {
             BIGCITY_COUNTER_INC("serve.breaker.opened");
           }
-          PublishBreakerState(request.task);
-          return response;
+          PublishBreakerState(task);
+          item.stages.retry_us += MicrosSince(attempts_start, Clock::now());
+          Response response = ErrorResponse(util::Status::DeadlineExceeded(
+              "deadline expired during retry backoff"));
+          response.retries = retries;
+          finish(item, std::move(response));
+          return;
         }
         backoff_ms = std::min(backoff_ms, remaining_ms);
       }
@@ -834,454 +970,113 @@ Response InferenceServer::Process(WorkItem& item, Replica& replica,
     // forward never double-counts the failed attempt's stages.
     obs::RequestStagesClear();
     const Clock::time_point forward_start = Clock::now();
-    const bool use_kv = kv != nullptr &&
-                        kv->capacity.load(std::memory_order_relaxed) > 0 &&
-                        request.task == core::Task::kNextHop &&
-                        request.trajectory.length() >= 2;
-    util::Result<nn::Tensor> result = use_kv
-        ? RunNextHopCached(request, replica, kv)
-        : [&] {
-            // No autograd on the hot path (intermediates die
-            // immediately), and the whole forward allocates inside this
-            // worker's plan arena; the output is cloned onto the heap
-            // before the scope rewinds it.
-            nn::NoGradGuard no_grad;
-            nn::PlanScope plan_scope(plans, PlanKeyFor(request));
-            util::Result<nn::Tensor> r =
-                RunModel(request, replica.model.get());
-            if (r.ok() && plan_scope.active()) {
-              nn::ArenaPin pin;
-              r = util::Result<nn::Tensor>(r.value().Detached());
-            }
-            return r;
-          }();
+    util::Result<std::vector<nn::Tensor>> result = [&] {
+      // No autograd on the hot path (intermediates die immediately), and
+      // the whole forward allocates inside this worker's plan arena; the
+      // outputs are cloned onto the heap before the scope rewinds it. A
+      // lone request's plan is keyed by its own size bucket, a batch's by
+      // task and member count, so a stable traffic mix replays a recycled
+      // arena (varying member lengths just regrow it, still bit-identical).
+      nn::NoGradGuard no_grad;
+      int64_t bucket = 1;
+      while (bucket < static_cast<int64_t>(live.size())) bucket <<= 1;
+      nn::PlanScope plan_scope(
+          plans, live.size() == 1
+                     ? PlanKeyFor(live[0]->request)
+                     : nn::PlanKey{core::TaskName(task) + ".batch", bucket});
+      util::Result<std::vector<nn::Tensor>> r =
+          RunForward(task, live, replica, kv);
+      if (r.ok() && plan_scope.active()) {
+        nn::ArenaPin pin;
+        for (nn::Tensor& tensor : r.value()) tensor = tensor.Detached();
+      }
+      return r;
+    }();
     last_status = result.status();
     if (result.ok()) {
       const double forward_us = MicrosSince(forward_start, Clock::now());
+      // Shared-forward attribution: every member waited the whole forward,
+      // so each gets the identical tokenize/cache/forward split.
       const double tokenize_us =
           obs::RequestStageValue(obs::RequestStage::kTokenize);
       const double cache_us =
           obs::RequestStageValue(obs::RequestStage::kCacheLookup);
-      item.stages.retry_us += MicrosSince(attempts_start, forward_start);
-      item.stages.tokenize_us += tokenize_us;
-      item.stages.cache_lookup_us += cache_us;
-      item.stages.forward_us +=
-          std::max(0.0, forward_us - tokenize_us - cache_us);
-      nn::Tensor output = std::move(result).value();
-      if (!AllFinite(output)) {
-        // A NaN/Inf output is a model-health defect, not a transient: no
-        // retry (the same weights produce the same poison), and it stays
-        // out of the circuit breaker — the breaker protects against
-        // failing *tasks*, the rollout health gate against bad *weights*.
-        BIGCITY_COUNTER_INC("serve.nonfinite_outputs");
-        if (cohort != nullptr) cohort->RecordNonFinite();
-        response.status =
-            util::Status::Internal("model produced non-finite output");
-        return response;
+      std::vector<nn::Tensor> outputs = std::move(result).value();
+      std::vector<Response> responses(live.size());
+      bool any_ok = false;
+      for (size_t i = 0; i < live.size(); ++i) {
+        WorkItem& item = *live[i];
+        item.stages.retry_us += MicrosSince(attempts_start, forward_start);
+        item.stages.tokenize_us += tokenize_us;
+        item.stages.cache_lookup_us += cache_us;
+        item.stages.forward_us +=
+            std::max(0.0, forward_us - tokenize_us - cache_us);
+        responses[i].retries = retries;
+        if (!AllFinite(outputs[i])) {
+          // A NaN/Inf output is a model-health defect, not a transient:
+          // no retry (the same weights produce the same poison), and it
+          // stays out of the circuit breaker — the breaker protects
+          // against failing *tasks*, the rollout health gate against bad
+          // *weights*.
+          BIGCITY_COUNTER_INC("serve.nonfinite_outputs");
+          if (cohort != nullptr) cohort->RecordNonFinite();
+          responses[i].status =
+              util::Status::Internal("model produced non-finite output");
+          continue;
+        }
+        double cohort_us = forward_us;
+        if (cohort == &canary_stats_ &&
+            util::FaultInjection::Fire(util::kFaultRolloutCanaryLatency)) {
+          // Inflation is applied to the cohort sample only: the gate must
+          // see it, the budget-degradation estimator must not.
+          cohort_us += static_cast<double>(
+              util::FaultInjection::Param(util::kFaultRolloutCanaryLatency));
+        }
+        if (cohort != nullptr) cohort->RecordSuccess(cohort_us);
+        responses[i].output = std::move(outputs[i]);
+        any_ok = true;
       }
-      forward_latency_.Record(forward_us);
-      BIGCITY_HISTOGRAM_RECORD("serve.forward_us", forward_us);
-      double cohort_us = forward_us;
-      if (is_canary &&
-          util::FaultInjection::Fire(util::kFaultRolloutCanaryLatency)) {
-        // Inflation is applied to the cohort sample only: the gate must
-        // see it, the budget-degradation estimator must not.
-        cohort_us += static_cast<double>(
-            util::FaultInjection::Param(util::kFaultRolloutCanaryLatency));
+      if (any_ok) {
+        forward_latency_.Record(forward_us);
+        BIGCITY_HISTOGRAM_RECORD("serve.forward_us", forward_us);
+        breaker.RecordSuccess();
+        PublishBreakerState(task);
       }
-      if (cohort != nullptr) cohort->RecordSuccess(cohort_us);
-      breaker.RecordSuccess();
-      PublishBreakerState(request.task);
-      response.status = util::Status::Ok();
-      response.output = std::move(output);
-      return response;
+      for (size_t i = 0; i < live.size(); ++i) {
+        finish(*live[i], std::move(responses[i]));
+      }
+      return;
     }
-    // Validation errors are deterministic — retrying cannot help, and they
-    // must not trip the breaker (the input is at fault, not the model).
-    if (last_status.code() == util::StatusCode::kInvalidArgument) {
+    // A batch splits on any failure below. For a lone request, validation
+    // errors are deterministic — retrying cannot help, and they must not
+    // trip the breaker (the input is at fault, not the model).
+    if (live.size() == 1 &&
+        last_status.code() == util::StatusCode::kInvalidArgument) {
       BIGCITY_COUNTER_INC("serve.quarantined");
-      response.status = std::move(last_status);
-      return response;
+      finish(*live[0], ErrorResponse(std::move(last_status)));
+      return;
     }
   }
 
-  item.stages.retry_us += MicrosSince(attempts_start, Clock::now());
+  const double failed_us = MicrosSince(attempts_start, Clock::now());
+  for (WorkItem* item : live) item->stages.retry_us += failed_us;
+  if (live.size() > 1) {
+    // The batched attempt failed (transient fault, or a member failed
+    // batch screening): split into one-member calls, which retry,
+    // quarantine, and feed the breaker with exact per-item attribution.
+    BIGCITY_COUNTER_INC("serve.batch.fallback");
+    for (WorkItem* item : live) ProcessBatch({item}, replica, plans, kv);
+    return;
+  }
   BIGCITY_COUNTER_INC("serve.failures");
   if (cohort != nullptr) cohort->RecordFailure();
   if (breaker.RecordFailure(Clock::now())) {
     BIGCITY_COUNTER_INC("serve.breaker.opened");
   }
-  PublishBreakerState(request.task);
-  response.status = std::move(last_status);
-  return response;
-}
-
-std::optional<InferenceServer::KvSession> InferenceServer::CheckoutKvSession(
-    KvSessionStore* kv, uint64_t version,
-    const data::Trajectory& trajectory) {
-  std::lock_guard<std::mutex> lock(kv->mu);
-  auto best = kv->sessions.end();
-  for (auto it = kv->sessions.begin(); it != kv->sessions.end(); ++it) {
-    if (it->version != version) continue;
-    if (it->cache.length() == 0) continue;
-    if (!IsServedPrefix(it->served, trajectory)) continue;
-    if (best == kv->sessions.end() ||
-        it->served.length() > best->served.length()) {
-      best = it;
-    }
-  }
-  if (best == kv->sessions.end()) return std::nullopt;
-  KvSession session = std::move(*best);
-  kv->sessions.erase(best);
-  return session;
-}
-
-bool InferenceServer::HasKvSession(KvSessionStore* kv, uint64_t version,
-                                   const data::Trajectory& trajectory) {
-  std::lock_guard<std::mutex> lock(kv->mu);
-  for (const KvSession& candidate : kv->sessions) {
-    if (candidate.version == version && candidate.cache.length() > 0 &&
-        IsServedPrefix(candidate.served, trajectory)) {
-      return true;
-    }
-  }
-  return false;
-}
-
-void InferenceServer::CheckinKvSession(KvSessionStore* kv,
-                                       KvSession session) {
-  std::lock_guard<std::mutex> lock(kv->mu);
-  if (kv->sessions.size() >= kv->capacity.load(std::memory_order_relaxed)) {
-    auto oldest = kv->sessions.begin();
-    for (auto it = kv->sessions.begin(); it != kv->sessions.end(); ++it) {
-      if (it->tick < oldest->tick) oldest = it;
-    }
-    kv->sessions.erase(oldest);
-  }
-  session.tick = ++kv->tick;
-  kv->sessions.push_back(std::move(session));
-}
-
-util::Result<nn::Tensor> InferenceServer::RunNextHopCached(
-    const Request& request, Replica& replica, KvSessionStore* kv) {
-  const data::Trajectory& trajectory = request.trajectory;
-  // Longest-prefix session checkout: any session whose served trajectory
-  // is a point-for-point prefix of this one resumes its cached attention
-  // state (the longest leaves the fewest rows to decode). Sessions are
-  // version-scoped so a hot-swapped replica never reuses attention state
-  // computed by different weights.
-  std::optional<KvSession> session =
-      CheckoutKvSession(kv, replica.version, trajectory);
-  if (session.has_value()) {
-    BIGCITY_COUNTER_INC("serve.cache.kv.hit");
-  } else {
-    BIGCITY_COUNTER_INC("serve.cache.kv.miss");
-    session.emplace();
-    session->version = replica.version;
-  }
-  // KV state must survive across requests, so this forward allocates on
-  // the heap (no plan scope): the savings come from skipping the cached
-  // prefix, not from arena recycling.
-  nn::NoGradGuard no_grad;
-  util::Result<nn::Tensor> result =
-      replica.model->TryNextHopLogitsCached(trajectory, &session->cache);
-  if (!result.ok()) {
-    // Dropping the checked-out session is the failure path's cleanup: the
-    // store never sees a poisoned cache.
-    return result;
-  }
-  session->cache.DetachToHeap();
-  session->served = trajectory;
-  CheckinKvSession(kv, std::move(*session));
-  return result;
-}
-
-util::Result<std::vector<nn::Tensor>> InferenceServer::RunModelBatch(
-    core::Task task, const std::vector<WorkItem*>& items, Replica& replica,
-    KvSessionStore* kv) {
-  core::BigCityModel* model = replica.model.get();
-  switch (task) {
-    case core::Task::kNextHop: {
-      std::vector<data::Trajectory> prefixes;
-      prefixes.reserve(items.size());
-      for (const WorkItem* item : items) {
-        prefixes.push_back(item->request.trajectory);
-      }
-      if (kv == nullptr ||
-          kv->capacity.load(std::memory_order_relaxed) == 0) {
-        return model->TryBatchNextHopLogits(prefixes);
-      }
-      // Continuous batching over the shared KV store: members extending a
-      // cached decode check their session out (the batched forward runs
-      // only their suffix rows against it), the rest get fresh sessions
-      // the same forward prefills. Stacking hits and misses into one tall
-      // forward is what amortizes the frozen weights' memory traffic — the
-      // dominant cost of a short decode — across the whole batch. Sessions
-      // are worker-local while checked out and only returned to the store
-      // on success; a failed batch leaves no trace.
-      std::vector<KvSession> sessions(items.size());
-      std::vector<nn::KvCache*> caches(items.size(), nullptr);
-      for (size_t i = 0; i < items.size(); ++i) {
-        const data::Trajectory& trajectory = items[i]->request.trajectory;
-        if (trajectory.length() < 2) continue;
-        std::optional<KvSession> hit =
-            CheckoutKvSession(kv, replica.version, trajectory);
-        if (hit.has_value()) {
-          BIGCITY_COUNTER_INC("serve.cache.kv.hit");
-          sessions[i] = std::move(*hit);
-        } else {
-          BIGCITY_COUNTER_INC("serve.cache.kv.miss");
-          sessions[i].version = replica.version;
-        }
-        caches[i] = &sessions[i].cache;
-      }
-      util::Result<std::vector<nn::Tensor>> result =
-          model->TryBatchNextHopLogits(prefixes, &caches);
-      if (result.ok()) {
-        // The new K/V slices live in the batch's plan arena; pin the
-        // copies to the heap so the sessions outlive the arena rewind.
-        nn::ArenaPin pin;
-        for (size_t i = 0; i < items.size(); ++i) {
-          if (caches[i] == nullptr) continue;
-          sessions[i].cache.DetachToHeap();
-          sessions[i].served = items[i]->request.trajectory;
-          CheckinKvSession(kv, std::move(sessions[i]));
-        }
-      }
-      return result;
-    }
-    case core::Task::kTravelTimeEstimation: {
-      std::vector<data::Trajectory> trajectories;
-      trajectories.reserve(items.size());
-      for (const WorkItem* item : items) {
-        trajectories.push_back(item->request.trajectory);
-      }
-      return model->TryBatchTravelTimeDeltas(trajectories);
-    }
-    case core::Task::kTrafficOneStep:
-    case core::Task::kTrafficMultiStep: {
-      std::vector<core::BigCityModel::TrafficQuery> queries;
-      queries.reserve(items.size());
-      for (const WorkItem* item : items) {
-        const Request& request = item->request;
-        const int horizon =
-            task == core::Task::kTrafficOneStep ? 1 : request.horizon;
-        queries.push_back(core::BigCityModel::TrafficQuery{
-            request.segment, request.start_slice, horizon});
-      }
-      return model->TryBatchPredictTraffic(queries);
-    }
-    default:
-      return util::Status::InvalidArgument("task has no batched forward");
-  }
-}
-
-void InferenceServer::ProcessBatch(std::vector<WorkItem>& items,
-                                   Replica& replica, nn::PlanCache* plans,
-                                   KvSessionStore* kv) {
-  BIGCITY_TRACE_SPAN("serve.process_batch", "serve");
-  // One 't' step per member inside the batch span binds every member's
-  // flow to the shared forward: chrome://tracing renders each request as
-  // submit -> this batch -> its finish, all on one connected flow.
-  for (const WorkItem& item : items) {
-    BIGCITY_TRACE_FLOW("serve.request", "serve", 't', item.trace_id);
-  }
-  // Same deterministic wedge site as the per-request path: every member
-  // of a stalled batch gets reaped together.
-  util::FaultInjection::MaybeStall(util::kFaultServeWorkerStall);
-  const core::Task task = items[0].request.task;
-  CohortStats* cohort = replica.cohort.load(std::memory_order_relaxed);
-
-  // Per-item admission stages first: every request keeps its own typed
-  // failure; only the survivors share the batched forward.
-  std::vector<WorkItem*> live;
-  live.reserve(items.size());
-  for (WorkItem& item : items) {
-    Response response;
-    response.model_version = replica.version;
-    if (util::FaultInjection::Fire(util::kFaultServeExpireAtTokenize) ||
-        (item.has_deadline && Clock::now() >= item.deadline)) {
-      BIGCITY_COUNTER_INC("serve.deadline.pre_tokenize");
-      response.status =
-          util::Status::DeadlineExceeded("deadline expired before tokenize");
-      Finish(item, std::move(response));
-      continue;
-    }
-    const Clock::time_point validate_start = Clock::now();
-    util::Status status = ValidateRequest(item.request);
-    item.stages.validate_us += MicrosSince(validate_start, Clock::now());
-    if (!status.ok()) {
-      BIGCITY_COUNTER_INC("serve.quarantined");
-      response.status = std::move(status);
-      Finish(item, std::move(response));
-      continue;
-    }
-    if (util::FaultInjection::Fire(util::kFaultServeExpireAtForward) ||
-        (item.has_deadline && Clock::now() >= item.deadline)) {
-      BIGCITY_COUNTER_INC("serve.deadline.pre_forward");
-      response.status =
-          util::Status::DeadlineExceeded("deadline expired before forward");
-      Finish(item, std::move(response));
-      continue;
-    }
-    live.push_back(&item);
-  }
-  if (live.empty()) return;
-
-  // One batched forward is one unit of breaker accounting; a rejection
-  // degrades (or rejects) every member individually.
-  CircuitBreaker& breaker = BreakerFor(task);
-  const CircuitBreaker::Decision decision = breaker.Admit(Clock::now());
   PublishBreakerState(task);
-  if (decision == CircuitBreaker::Decision::kReject) {
-    for (WorkItem* item : live) {
-      Response response;
-      response.model_version = replica.version;
-      if (options_.degrade_when_breaker_open && DegradableTask(task)) {
-        BIGCITY_COUNTER_INC("serve.degraded.breaker");
-        util::Result<nn::Tensor> fallback = RunBaseline(item->request);
-        response.status = fallback.status();
-        if (fallback.ok()) {
-          response.output = std::move(fallback).value();
-          response.degraded = true;
-        }
-      } else {
-        BIGCITY_COUNTER_INC("serve.breaker.rejected");
-        response.status = util::Status::Unavailable("circuit breaker open");
-        response.outcome = Outcome::kRejected;
-      }
-      Finish(*item, std::move(response));
-    }
-    return;
-  }
-  if (decision == CircuitBreaker::Decision::kProbe) {
-    BIGCITY_COUNTER_INC("serve.breaker.probes");
-  }
-
-  // Budget degradation stays per item — deadlines differ across the batch.
-  if (decision == CircuitBreaker::Decision::kAllow &&
-      options_.degrade_on_tight_budget && DegradableTask(task)) {
-    const double p95_us = forward_latency_.P95(options_.latency_min_samples);
-    if (p95_us > 0) {
-      std::vector<WorkItem*> kept;
-      kept.reserve(live.size());
-      for (WorkItem* item : live) {
-        if (item->has_deadline &&
-            RemainingUs(item->deadline, Clock::now()) < p95_us) {
-          BIGCITY_COUNTER_INC("serve.degraded.budget");
-          Response response;
-          response.model_version = replica.version;
-          util::Result<nn::Tensor> fallback = RunBaseline(item->request);
-          response.status = fallback.status();
-          if (fallback.ok()) {
-            response.output = std::move(fallback).value();
-            response.degraded = true;
-          }
-          Finish(*item, std::move(response));
-        } else {
-          kept.push_back(item);
-        }
-      }
-      live = std::move(kept);
-      if (live.empty()) return;
-    }
-  }
-
-  // One shared forward. Plans are keyed by task + batch size, so a stable
-  // traffic mix replays a recycled arena; varying member lengths at the
-  // same size just regrow it (still bit-identical).
-  for (WorkItem* item : live) {
-    item->batch_size = static_cast<int>(live.size());
-  }
-  obs::RequestStagesClear();
-  const Clock::time_point forward_start = Clock::now();
-  const bool injected_fault =
-      util::FaultInjection::Fire(util::kFaultServeTokenizeFail) ||
-      util::FaultInjection::Fire(util::kFaultServeForwardFail);
-  util::Result<std::vector<nn::Tensor>> result =
-      injected_fault
-          ? util::Result<std::vector<nn::Tensor>>(util::Status::Unavailable(
-                "batched forward transient fault (injected)"))
-          : [&] {
-              nn::NoGradGuard no_grad;
-              int64_t bucket = 1;
-              while (bucket < static_cast<int64_t>(live.size())) bucket <<= 1;
-              nn::PlanScope plan_scope(
-                  plans,
-                  nn::PlanKey{core::TaskName(task) + ".batch", bucket});
-              util::Result<std::vector<nn::Tensor>> r =
-                  RunModelBatch(task, live, replica, kv);
-              if (r.ok() && plan_scope.active()) {
-                nn::ArenaPin pin;
-                std::vector<nn::Tensor> detached;
-                detached.reserve(r.value().size());
-                for (const nn::Tensor& tensor : r.value()) {
-                  detached.push_back(tensor.Detached());
-                }
-                r = util::Result<std::vector<nn::Tensor>>(
-                    std::move(detached));
-              }
-              return r;
-            }();
-
-  if (result.ok()) {
-    const double forward_us = MicrosSince(forward_start, Clock::now());
-    forward_latency_.Record(forward_us);
-    BIGCITY_HISTOGRAM_RECORD("serve.forward_us", forward_us);
-    // Shared-forward attribution: every member waited the whole batched
-    // forward, so each gets the identical tokenize/cache/forward split.
-    const double tokenize_us =
-        obs::RequestStageValue(obs::RequestStage::kTokenize);
-    const double cache_us =
-        obs::RequestStageValue(obs::RequestStage::kCacheLookup);
-    const double net_forward_us =
-        std::max(0.0, forward_us - tokenize_us - cache_us);
-    for (WorkItem* item : live) {
-      item->stages.tokenize_us += tokenize_us;
-      item->stages.cache_lookup_us += cache_us;
-      item->stages.forward_us += net_forward_us;
-    }
-    std::vector<nn::Tensor> outputs = std::move(result).value();
-    bool any_ok = false;
-    for (size_t i = 0; i < live.size(); ++i) {
-      Response response;
-      response.model_version = replica.version;
-      if (!AllFinite(outputs[i])) {
-        // Same policy as the per-request path: non-finite output is a
-        // model-health defect — no retry, no breaker involvement.
-        BIGCITY_COUNTER_INC("serve.nonfinite_outputs");
-        if (cohort != nullptr) cohort->RecordNonFinite();
-        response.status =
-            util::Status::Internal("model produced non-finite output");
-      } else {
-        if (cohort != nullptr) cohort->RecordSuccess(forward_us);
-        response.status = util::Status::Ok();
-        response.output = std::move(outputs[i]);
-        BIGCITY_COUNTER_INC("serve.completed");
-        any_ok = true;
-      }
-      Finish(*live[i], std::move(response));
-    }
-    if (any_ok) {
-      breaker.RecordSuccess();
-      PublishBreakerState(task);
-    }
-    return;
-  }
-
-  // Batched attempt failed (transient fault or a member failed batch
-  // screening): fall back to per-request processing, which retries,
-  // quarantines, and feeds the breaker with exact per-item attribution.
-  BIGCITY_COUNTER_INC("serve.batch.fallback");
-  const double failed_batch_us = MicrosSince(forward_start, Clock::now());
-  for (WorkItem* item : live) {
-    // The abandoned batched attempt is retry overhead for every member —
-    // attributed so the stage partition still sums to ~total_us.
-    item->stages.retry_us += failed_batch_us;
-    Response response = Process(*item, replica, plans, kv);
-    if (response.status.ok()) BIGCITY_COUNTER_INC("serve.completed");
-    Finish(*item, std::move(response));
-  }
+  Response response = ErrorResponse(std::move(last_status));
+  response.retries = retries;
+  finish(*live[0], std::move(response));
 }
 
 std::shared_ptr<InferenceServer::Replica> InferenceServer::AcquireReplica(
@@ -1330,10 +1125,6 @@ void InferenceServer::WorkerLoop(int worker_index, uint64_t generation) {
   // wedged incarnation's arena slabs are retired by the plan cache's
   // poison valve when its thread finally unwinds.
   nn::PlanCache plan_cache(/*capacity=*/16, options_.plans);
-  // KV decode sessions live in the server-wide store (kv_sessions_) so a
-  // walk keeps hitting no matter which worker serves each step; version
-  // scoping retires them naturally across hot-swaps.
-  KvSessionStore* kv_sessions = &kv_sessions_;
   Heartbeat& hb = *heartbeats_[static_cast<size_t>(worker_index)];
   // Incarnation check: the watchdog bumps the slot's generation when it
   // replaces a wedged worker, and the superseded thread must neither
@@ -1346,13 +1137,7 @@ void InferenceServer::WorkerLoop(int worker_index, uint64_t generation) {
     // Idle beat before blocking: the supervisor treats a non-busy worker
     // as healthy, so a quiet queue never looks like a hang.
     hb.epoch.fetch_add(1, std::memory_order_release);
-    std::vector<WorkItem> batch;
-    if (batcher_ != nullptr) {
-      batch = batcher_->NextBatch();
-    } else {
-      std::optional<WorkItem> item = queue_.Pop();
-      if (item.has_value()) batch.push_back(std::move(*item));
-    }
+    std::vector<WorkItem> batch = batcher_->NextBatch();
     if (batch.empty()) return;  // Closed and drained.
     BIGCITY_GAUGE_SET("serve.queue_depth", queue_.depth());
     BIGCITY_HISTOGRAM_RECORD("serve.batch.size",
@@ -1382,9 +1167,7 @@ void InferenceServer::WorkerLoop(int worker_index, uint64_t generation) {
       item.stages.queue_wait_us =
           std::max(0.0, item.queue_wait_us - item.batch_wait_us);
       BIGCITY_HISTOGRAM_RECORD("serve.queue_wait_us", item.queue_wait_us);
-      if (batcher_ != nullptr) {
-        BIGCITY_HISTOGRAM_RECORD("serve.batch.wait_us", item.batch_wait_us);
-      }
+      BIGCITY_HISTOGRAM_RECORD("serve.batch.wait_us", item.batch_wait_us);
     }
 
     // CoDel sojourn bound (DESIGN.md §4.16): when queue residency has sat
@@ -1398,10 +1181,9 @@ void InferenceServer::WorkerLoop(int worker_index, uint64_t generation) {
         if (overload_->ShouldDropStale(item.queue_wait_us, dequeued)) {
           stale_drops_.fetch_add(1, std::memory_order_relaxed);
           BIGCITY_COUNTER_INC("serve.overload.stale_dropped");
-          Response response;
-          response.status = util::Status::DeadlineExceeded(
-              "stale request dropped: queue sojourn above target");
-          Finish(item, std::move(response));
+          Finish(item,
+                 ErrorResponse(util::Status::DeadlineExceeded(
+                     "stale request dropped: queue sojourn above target")));
         } else {
           kept.push_back(std::move(item));
         }
@@ -1430,14 +1212,10 @@ void InferenceServer::WorkerLoop(int worker_index, uint64_t generation) {
       RegisterInflight(hb, members, replica->version);
     }
 
-    if (batch.size() == 1) {
-      Response response =
-          Process(batch[0], *replica, &plan_cache, kv_sessions);
-      if (response.status.ok()) BIGCITY_COUNTER_INC("serve.completed");
-      Finish(batch[0], std::move(response));
-    } else {
-      ProcessBatch(batch, *replica, &plan_cache, kv_sessions);
-    }
+    // KV decode sessions live in the server-wide store so a walk keeps
+    // hitting no matter which worker serves each step; version scoping
+    // retires them naturally across hot-swaps.
+    ProcessBatch(members, *replica, &plan_cache, &kv_sessions_);
 
     if (current && !superseded()) {
       ClearInflight(hb);
@@ -1560,14 +1338,7 @@ void InferenceServer::ApplyOverloadState() {
   kv_sessions_.capacity.store(effective_kv, std::memory_order_relaxed);
   // Evict LRU overflow now — shrinking the cap must release memory, not
   // merely stop growth.
-  while (kv_sessions_.sessions.size() > effective_kv) {
-    auto oldest = kv_sessions_.sessions.begin();
-    for (auto it = kv_sessions_.sessions.begin();
-         it != kv_sessions_.sessions.end(); ++it) {
-      if (it->tick < oldest->tick) oldest = it;
-    }
-    kv_sessions_.sessions.erase(oldest);
-  }
+  EvictKvSessionsLocked(&kv_sessions_, effective_kv);
 }
 
 void InferenceServer::SupervisorLoop() {
@@ -1763,26 +1534,12 @@ void InferenceServer::RunRollout(const VersionInfo& info) {
 
 bool InferenceServer::WaitForRolloutState(RolloutState state,
                                           double timeout_ms) const {
-  const Clock::time_point deadline =
-      Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                         std::chrono::duration<double, std::milli>(timeout_ms));
-  while (rollout_state() != state) {
-    if (Clock::now() >= deadline) return false;
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  return true;
+  return PollUntil([&] { return rollout_state() == state; }, timeout_ms);
 }
 
 bool InferenceServer::WaitForStableVersion(uint64_t version,
                                            double timeout_ms) const {
-  const Clock::time_point deadline =
-      Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                         std::chrono::duration<double, std::milli>(timeout_ms));
-  while (stable_version() != version) {
-    if (Clock::now() >= deadline) return false;
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  return true;
+  return PollUntil([&] { return stable_version() == version; }, timeout_ms);
 }
 
 }  // namespace bigcity::serve

@@ -27,6 +27,7 @@
 #include "serve/batcher.h"
 #include "serve/circuit_breaker.h"
 #include "obs/slo.h"
+#include "serve/latency_window.h"
 #include "serve/model_registry.h"
 #include "serve/overload.h"
 #include "serve/request.h"
@@ -89,15 +90,12 @@ struct ServeOptions {
   /// checkpoint load (must match how the source weights were produced).
   bool attach_lora = false;
 
-  /// Continuous batching (DESIGN.md §4.14): a batcher stage between the
+  /// Continuous batching (DESIGN.md §4.14): the batcher stage between the
   /// admission queue and the workers coalesces queued same-task requests
-  /// into one batched forward. Outputs are bit-identical to per-request
-  /// execution; dispatch is deadline-aware, so a nearly-expired request
-  /// never waits for batch fill. Disabling restores the direct
-  /// queue-to-worker path.
-  bool batching = true;
-
-  /// Maximum requests per batched forward.
+  /// into one forward of at most batch_max members. Outputs are
+  /// bit-identical to one-member forwards; dispatch is deadline-aware, so
+  /// a nearly-expired request never waits for batch fill. batch_max = 1
+  /// dispatches every request alone, on arrival.
   int batch_max = 8;
 
   /// How long a request may wait for co-batchable peers before its group
@@ -172,19 +170,23 @@ struct ServeOptions {
 };
 
 /// Multi-threaded inference server over core::BigCityModel (DESIGN.md
-/// §4.11, lifecycle §4.12). The request path is
+/// §4.11, lifecycle §4.12). There is one request path, for a batch of
+/// N >= 1 same-task requests:
 ///
-///   Submit -> [deadline] -> bounded queue -> worker: [deadline] ->
-///   validate -> [deadline] -> breaker/budget -> forward (retries) -> head
+///   Submit -> [deadline] -> bounded queue -> batcher -> worker:
+///   per member [deadline] -> validate -> [deadline]; then once
+///   breaker -> budget -> forward (retries when N = 1) -> head
 ///
 /// with explicit, typed failure at every stage: kResourceExhausted when
-/// the queue is full, kDeadlineExceeded at the three cancellation
-/// checkpoints, kInvalidArgument for malformed inputs (quarantined before
-/// they can reach a CHECK in the model), kUnavailable when retries are
-/// exhausted or a breaker rejects, kInternal when the model emits a
-/// non-finite output. Degradable tasks fall back to BaselinePredictor
-/// instead of failing when the breaker is open or the remaining budget
-/// cannot fit a p95 forward.
+/// the queue (which also bounds the batcher's backlog) is full,
+/// kDeadlineExceeded at the three cancellation checkpoints,
+/// kInvalidArgument for malformed inputs (quarantined before they can
+/// reach a CHECK in the model), kUnavailable when retries are exhausted or
+/// a breaker rejects, kInternal when the model emits a non-finite output.
+/// Degradable tasks fall back to BaselinePredictor instead of failing when
+/// the breaker is open or the remaining budget cannot fit a p95 forward. A
+/// failed batch of N > 1 is split into one-member batches, so retries and
+/// breaker accounting stay per request.
 ///
 /// Model lifecycle: when options.rollout.model_dir is set, a controller
 /// thread polls the versioned model directory. A validated new version is
@@ -234,7 +236,6 @@ class InferenceServer {
 
   // --- Introspection (tests, bench, CLI) ---------------------------------
 
-  size_t queue_depth() const { return queue_.depth(); }
   const ServeOptions& options() const { return options_; }
   bool running() const { return running_; }
 
@@ -244,12 +245,6 @@ class InferenceServer {
   /// Current forward-time estimate consulted by budget degradation, in
   /// microseconds; 0 while below latency_min_samples.
   double forward_p95_us() const;
-
-  /// Shared tokenizer representation cache (null when disabled); exposes
-  /// hit/miss counts to tests and the bench harness.
-  const core::SpatialRepCache* tokenizer_cache() const {
-    return shared_reps_.get();
-  }
 
   /// Lifecycle introspection. rollout_state() is sticky: it holds the
   /// terminal state of the last candidate (STABLE / ROLLED_BACK /
@@ -329,8 +324,7 @@ class InferenceServer {
     /// Process-unique id allocated at Submit; stamps this request's spans
     /// and binds its chrome://tracing flow events (DESIGN.md §4.15).
     uint64_t trace_id = 0;
-    /// Batcher pending time, stamped by the batch-dispatch callback
-    /// (stays 0 on the direct queue-to-worker path).
+    /// Batcher pending time, stamped by the batch-dispatch callback.
     double batch_wait_us = 0;
     /// Per-stage latency attribution accumulated along the request path.
     StageBreakdown stages;
@@ -410,21 +404,6 @@ class InferenceServer {
     std::vector<InflightRecord> inflight;
   };
 
-  /// Sliding window of forward times; p95 over the last `kWindow` samples.
-  class LatencyEstimator {
-   public:
-    void Record(double us);
-    void Seed(double us, int copies);
-    double P95(int min_samples) const;
-
-   private:
-    static constexpr size_t kWindow = 128;
-    mutable std::mutex mu_;
-    std::vector<double> samples_;  // Ring once kWindow is reached.
-    size_t next_ = 0;
-    size_t count_ = 0;
-  };
-
   void WorkerLoop(int worker_index, uint64_t generation);
   void Finish(WorkItem& item, Response response);
   /// Watchdog-side completion of one reaped request: claims the shared
@@ -453,29 +432,23 @@ class InferenceServer {
   /// (queue bound, KV capacity); the batcher reads its shrunken batch_max
   /// through its own callback.
   void ApplyOverloadState();
-  Response Process(WorkItem& item, Replica& replica, nn::PlanCache* plans,
-                   KvSessionStore* kv);
-  /// Batched request path (size >= 2, one task): per-item checkpoints,
-  /// validation, and budget degradation, then one shared batched forward.
-  /// Finishes every item; falls back to per-item Process on batch failure.
-  void ProcessBatch(std::vector<WorkItem>& items, Replica& replica,
+  /// The request path for N >= 1 same-task items: per-member deadline
+  /// checkpoints and validation, then one breaker admission, budget
+  /// degradation, and one forward (with bounded retries when N = 1) for
+  /// the survivors. Finishes every item; a failed forward of N > 1 is
+  /// split into one-member calls.
+  void ProcessBatch(const std::vector<WorkItem*>& items, Replica& replica,
                     nn::PlanCache* plans, KvSessionStore* kv);
   util::Status ValidateRequest(const Request& request) const;
-  util::Result<nn::Tensor> RunModel(const Request& request,
-                                    core::BigCityModel* model);
-  /// Batched forward dispatch. For next-hop with KV enabled this is also
-  /// the batched prefill: every member gets a fresh KV session filled
-  /// with the attention state of the shared forward, so later extension
-  /// requests decode incrementally.
-  util::Result<std::vector<nn::Tensor>> RunModelBatch(
+  /// Per-task forward dispatch, one output per item. The batchable tasks
+  /// (next-hop, TTE, traffic prediction) run their batched entry at any N;
+  /// the others run alone through their single-request entry. For
+  /// next-hop with KV enabled, members extending a served prefix decode
+  /// only their suffix against a checked-out session, and the rest
+  /// prefill fresh sessions in the same forward.
+  util::Result<std::vector<nn::Tensor>> RunForward(
       core::Task task, const std::vector<WorkItem*>& items, Replica& replica,
       KvSessionStore* kv);
-  /// Next-hop forward through the worker's KV session store: a session
-  /// whose served trajectory is a prefix of the request's resumes its
-  /// cached attention state and decodes only the new suffix + [CLAS].
-  util::Result<nn::Tensor> RunNextHopCached(const Request& request,
-                                            Replica& replica,
-                                            KvSessionStore* kv);
   /// Longest-prefix session checkout: among stored sessions of `version`
   /// whose served trajectory is a point-for-point prefix of `trajectory`,
   /// removes and returns the one covering the most points (nullopt when
@@ -484,13 +457,15 @@ class InferenceServer {
   static std::optional<KvSession> CheckoutKvSession(
       KvSessionStore* kv, uint64_t version,
       const data::Trajectory& trajectory);
-  /// Non-consuming form of the CheckoutKvSession predicate.
-  static bool HasKvSession(KvSessionStore* kv, uint64_t version,
-                           const data::Trajectory& trajectory);
   /// Returns a session to the store, evicting the least-recently-used
   /// stored session at capacity and stamping the LRU tick.
   static void CheckinKvSession(KvSessionStore* kv, KvSession session);
-  util::Result<nn::Tensor> RunBaseline(const Request& request) const;
+  /// Evicts least-recently-used sessions until at most `keep` remain;
+  /// the caller holds kv->mu.
+  static void EvictKvSessionsLocked(KvSessionStore* kv, size_t keep);
+  /// BaselinePredictor answer for a degradable task (degraded = true), or
+  /// kUnavailable for a task without one.
+  Response Degrade(const Request& request) const;
   CircuitBreaker& BreakerFor(core::Task task);
   void PublishBreakerState(core::Task task);
   util::Status LoadReplicaWeights(core::BigCityModel* replica,
@@ -515,10 +490,10 @@ class InferenceServer {
 
   BaselinePredictor baseline_;
   AdmissionQueue<WorkItem> queue_;
-  std::unique_ptr<Batcher<WorkItem>> batcher_;  // Null when batching off.
+  std::unique_ptr<Batcher<WorkItem>> batcher_;
   std::unique_ptr<core::SpatialRepCache> shared_reps_;  // Null when off.
   KvSessionStore kv_sessions_;  // Capacity 0 when KV caching is off.
-  LatencyEstimator forward_latency_;
+  LatencyWindow forward_latency_;
   std::vector<std::unique_ptr<WorkerSlot>> slots_;
   /// Worker threads by slot, guarded by workers_mu_ because the supervisor
   /// replaces entries while Stop may be joining. A replaced (wedged)

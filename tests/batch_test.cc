@@ -67,6 +67,14 @@ class BatchTest : public ::testing::Test {
     return dataset_->train().front();
   }
 
+  /// One-member cached decode: the KV call the server makes for a lone
+  /// next-hop request.
+  static nn::Tensor CachedNextHop(const data::Trajectory& prefix,
+                                  nn::KvCache* cache) {
+    std::vector<nn::KvCache*> caches = {cache};
+    return model_->BatchNextHopLogits({prefix}, &caches).front();
+  }
+
   static data::Trajectory Prefix(const data::Trajectory& trajectory,
                                  int length) {
     data::Trajectory prefix = trajectory;
@@ -156,7 +164,7 @@ TEST_F(BatchTest, KvCachedNextHopBitIdenticalAcrossExtensions) {
   for (int len = 2; len <= max_len; ++len) {
     SCOPED_TRACE(len);
     data::Trajectory prefix = Prefix(full, len);
-    nn::Tensor cached = model_->NextHopLogitsCached(prefix, &cache);
+    nn::Tensor cached = CachedNextHop(prefix, &cache);
     ExpectBitIdentical(cached, model_->NextHopLogits(prefix));
     lengths.push_back(cache.length());
   }
@@ -171,12 +179,12 @@ TEST_F(BatchTest, KvCacheColdStartMatchesFullForward) {
   nn::NoGradGuard no_grad;
   const data::Trajectory prefix = Prefix(AnyTrajectory(4), 3);
   nn::KvCache cache;
-  nn::Tensor first = model_->NextHopLogitsCached(prefix, &cache);
+  nn::Tensor first = CachedNextHop(prefix, &cache);
   EXPECT_GT(cache.length(), 0);
   ExpectBitIdentical(first, model_->NextHopLogits(prefix));
   // Re-serving the same prefix truncates and re-decodes the final rows —
   // still bit-identical.
-  nn::Tensor again = model_->NextHopLogitsCached(prefix, &cache);
+  nn::Tensor again = CachedNextHop(prefix, &cache);
   ExpectBitIdentical(again, first);
 }
 
@@ -215,8 +223,7 @@ TEST_F(BatchTest, BatchedCachedDecodeMixedBatchBitIdentical) {
   EXPECT_GT(cache_a.length(), warm_a);
   EXPECT_GT(cache_b.length(), warm_b);
   EXPECT_GT(cache_c.length(), 0);
-  nn::Tensor extended =
-      model_->NextHopLogitsCached(Prefix(full, 3), &cache_c);
+  nn::Tensor extended = CachedNextHop(Prefix(full, 3), &cache_c);
   ExpectBitIdentical(extended, model_->NextHopLogits(Prefix(full, 3)));
 }
 
@@ -396,7 +403,6 @@ class BatchServeTest : public BatchTest {
     options.num_workers = 1;
     options.queue_capacity = 64;
     options.retry_backoff_ms = 0.1;
-    options.batching = true;
     options.batch_max = 8;
     options.batch_window_us = 200.0;
     return options;
@@ -417,6 +423,13 @@ TEST_F(BatchServeTest, BacklogCoalescesIntoBitIdenticalBatch) {
   while (hold.fire_count() == 0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
+#if BIGCITY_OBS
+  // The decoy is parked before its validation, so from here every served
+  // request adds exactly one serve.validate_us sample.
+  const uint64_t validated_before = obs::MetricsRegistry::Global()
+                                        .GetHistogram("serve.validate_us")
+                                        ->Count();
+#endif
 
   std::vector<data::Trajectory> prefixes = RaggedTrajectories(6);
   std::vector<std::future<Response>> futures;
@@ -439,6 +452,44 @@ TEST_F(BatchServeTest, BacklogCoalescesIntoBitIdenticalBatch) {
   // The whole backlog was queued while the worker was parked, so it must
   // have shipped as (at least one) real batch.
   EXPECT_GT(max_batch, 1);
+#if BIGCITY_OBS
+  // Batched members get the same timed validation scope as a lone request:
+  // a batch of k adds k samples (decoy + backlog in total).
+  EXPECT_EQ(obs::MetricsRegistry::Global()
+                .GetHistogram("serve.validate_us")
+                ->Count(),
+            validated_before + 1 + prefixes.size());
+#endif
+}
+
+TEST_F(BatchServeTest, BatcherBacklogCountsAgainstQueueBound) {
+  ServeOptions options = BatchingOptions();
+  options.queue_capacity = 4;
+  // Nothing dispatches before Stop: the group never reaches batch_max 8,
+  // no request carries a deadline, and the window outlasts the test.
+  options.batch_window_us = 600e6;
+  InferenceServer server(dataset_, model_config_, options, model_);
+  ASSERT_TRUE(server.Start().ok());
+
+  std::vector<std::future<Response>> futures;
+  for (int i = 0; i < 10; ++i) {
+    Request request;
+    request.task = core::Task::kNextHop;
+    request.trajectory = AnyTrajectory();
+    futures.push_back(server.Submit(request));
+  }
+  // Whether a request still sits in the queue or pends in the batcher, it
+  // holds one of the 4 admission slots until dispatch.
+  server.Stop();  // Closing the queue dispatches the pending group.
+  int ok = 0;
+  int shed = 0;
+  for (std::future<Response>& future : futures) {
+    Response response = future.get();
+    if (response.status.ok()) ++ok;
+    if (response.outcome == Outcome::kShed) ++shed;
+  }
+  EXPECT_EQ(shed, 6);
+  EXPECT_EQ(ok, 4);
 }
 
 TEST_F(BatchServeTest, MixedTaskBacklogBatchesPerTask) {
@@ -512,10 +563,11 @@ TEST_F(BatchServeTest, KvSessionServesExtensionsBitIdentically) {
 #endif
 }
 
-TEST_F(BatchServeTest, BatchingOffMatchesBatchingOn) {
+TEST_F(BatchServeTest, BatchMaxOneMatchesBatchMaxEight) {
+  // The batching-off arm: every request alone, no shared caches.
   ServeOptions on = BatchingOptions();
   ServeOptions off = BatchingOptions();
-  off.batching = false;
+  off.batch_max = 1;
   off.kv_sessions = 0;
   off.tokenizer_cache_slices = 0;
 
@@ -533,6 +585,7 @@ TEST_F(BatchServeTest, BatchingOffMatchesBatchingOn) {
     Response without = server_off.ServeSync(request);
     ASSERT_TRUE(with.status.ok());
     ASSERT_TRUE(without.status.ok());
+    EXPECT_EQ(without.batch_size, 1);
     ExpectBitIdentical(with.output, without.output);
   }
 }

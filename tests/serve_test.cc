@@ -119,9 +119,33 @@ TEST(AdmissionQueueTest, ShedsWhenFullAndDrainsOnClose) {
   queue.Close();
   EXPECT_FALSE(queue.TryPush(4));  // Closed: shed.
   // Items queued before Close() still drain.
-  EXPECT_EQ(queue.Pop().value(), 1);
-  EXPECT_EQ(queue.Pop().value(), 2);
-  EXPECT_FALSE(queue.Pop().has_value());  // Closed + drained.
+  EXPECT_EQ(queue.TryPop().value(), 1);
+  EXPECT_EQ(queue.PopFor(10e6).value(), 2);
+  // Closed + drained: nothing to hand out, and no wait for the timeout.
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_FALSE(queue.PopFor(10e6).has_value());
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(5));
+  EXPECT_FALSE(queue.TryPop().has_value());
+}
+
+TEST(AdmissionQueueTest, PoppedItemsHoldTheirSlotUntilReleased) {
+  AdmissionQueue<int> queue(2);
+  EXPECT_TRUE(queue.TryPush(1));
+  EXPECT_TRUE(queue.TryPush(2));
+  EXPECT_EQ(queue.TryPop().value(), 1);
+  EXPECT_EQ(queue.depth(), 1u);
+  EXPECT_FALSE(queue.TryPush(3));  // The popped item still counts.
+  queue.Release(1);
+  EXPECT_TRUE(queue.TryPush(3));
+  // A tightened bound counts held items too.
+  EXPECT_EQ(queue.TryPop().value(), 2);
+  queue.SetEffectiveCapacity(1);
+  EXPECT_FALSE(queue.TryPush(4));
+  queue.Release(1);
+  EXPECT_FALSE(queue.TryPush(4));  // Item 3 is still queued.
+  EXPECT_EQ(queue.TryPop().value(), 3);
+  queue.Release(1);
+  EXPECT_TRUE(queue.TryPush(4));
 }
 
 TEST(CircuitBreakerTest, OpensAfterThresholdAndProbesAfterCooldown) {

@@ -83,7 +83,6 @@ struct CliOptions {
   int queue_capacity = 16;
   double deadline_ms = 0;     // <= 0: no per-request deadline.
   // Continuous batching (DESIGN.md §4.14).
-  bool batching = true;       // --no-batching: per-request forwards.
   int batch_max = 8;          // Coalesce at most this many requests.
   double batch_window_us = 200.0;  // Max wait for batch-mates.
   // Model lifecycle (DESIGN.md §4.12).
@@ -130,11 +129,9 @@ void PrintUsage() {
       "  --queue N         serve: admission queue capacity (default 16)\n"
       "  --deadline-ms F   serve: per-request deadline; 0 = none\n"
       "  --batch-max N     serve: coalesce up to N same-task requests per\n"
-      "                    forward (default 8); outputs are bit-identical\n"
-      "                    to per-request forwards for any N\n"
+      "                    forward (default 8; 1 = per-request forwards);\n"
+      "                    outputs are bit-identical for any N\n"
       "  --batch-window-us F serve: max wait for batch-mates (default 200)\n"
-      "  --no-batching     serve: disable the batcher stage (per-request\n"
-      "                    forwards, no shared tokenizer/KV caches)\n"
       "  --model-dir D     serve: watch D for published versions and\n"
       "                    hot-swap them through the canary gate;\n"
       "                    publish: versioned destination directory\n"
@@ -161,11 +158,7 @@ bool ParseArgs(int argc, char** argv, CliOptions* options) {
   options->command = argv[1];
   for (int i = 2; i < argc; ++i) {
     const std::string flag = argv[i];
-    if (flag == "--no-batching") {  // Valueless flags first.
-      options->batching = false;
-      continue;
-    }
-    if (flag == "--follow") {
+    if (flag == "--follow") {  // Valueless flags first.
       options->follow = true;
       continue;
     }
@@ -453,15 +446,8 @@ int RunServe(const CliOptions& options) {
   serve_options.num_workers = std::max(1, options.workers);
   serve_options.queue_capacity = std::max(1, options.queue_capacity);
   serve_options.default_deadline_ms = options.deadline_ms;
-  serve_options.batching = options.batching;
   serve_options.batch_max = std::max(1, options.batch_max);
   serve_options.batch_window_us = std::max(0.0, options.batch_window_us);
-  if (!options.batching) {
-    // Per-request forwards all the way down: no shared tokenizer rep
-    // cache, no KV sessions (matches bench_serve's batching-off arm).
-    serve_options.tokenizer_cache_slices = 0;
-    serve_options.kv_sessions = 0;
-  }
   serve_options.checkpoint_path = options.load;
   serve_options.attach_lora = !options.load.empty();  // Matches eval.
   serve_options.plans = options.plans;
