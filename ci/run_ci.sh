@@ -3,7 +3,7 @@
 # with its job name, so "works in CI" and "works locally" are the same code
 # path by construction.
 #
-# usage: ci/run_ci.sh [release|sanitize|tsan|obs-off|all]
+# usage: ci/run_ci.sh [release|sanitize|tsan|obs-off|native|all]
 #
 # Jobs:
 #   release  Release build, full ctest (includes the bench_gate perf smoke
@@ -31,6 +31,10 @@
 #            reap/replace path must be clean under the race detector.
 #   obs-off  Release build with -DBIGCITY_OBS=OFF proving every probe
 #            compiles out and the full suite still passes.
+#   native   Release build with -DBIGCITY_NATIVE_ARCH=ON (-march=native,
+#            so FMA is available to the compiler) running the kernel,
+#            op, gradient and parity suites: the no-contraction and
+#            SIMD = scalar contracts are checked where they can break.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -241,19 +245,32 @@ run_obs_off() {
   ctest --test-dir build-ci-obsoff --output-on-failure -j"$PAR" -E bench_gate
 }
 
+run_native() {
+  log "native: configure + build (-DBIGCITY_NATIVE_ARCH=ON)"
+  cmake -B build-ci-native -S . -DCMAKE_BUILD_TYPE=Release \
+    -DBIGCITY_NATIVE_ARCH=ON
+  cmake --build build-ci-native -j"$PAR" --target kernels_test ops_test \
+    grad_test batch_test plan_test
+  log "native: kernel, op, gradient and parity suites"
+  ctest --test-dir build-ci-native --output-on-failure -j"$PAR" \
+    -R "^(kernels_test|ops_test|grad_test|batch_test|plan_test)$"
+}
+
 case "$JOB" in
   release) run_release ;;
   sanitize) run_sanitize ;;
   tsan) run_tsan ;;
   obs-off) run_obs_off ;;
+  native) run_native ;;
   all)
     run_release
     run_sanitize
     run_tsan
     run_obs_off
+    run_native
     ;;
   *)
-    echo "usage: ci/run_ci.sh [release|sanitize|tsan|obs-off|all]" >&2
+    echo "usage: ci/run_ci.sh [release|sanitize|tsan|obs-off|native|all]" >&2
     exit 2
     ;;
 esac

@@ -139,7 +139,14 @@ Tensor StTokenizer::DynamicWindowFeatures(int slice) const {
 
 Tensor StTokenizer::SpatialRepresentations(int slice) {
   if (traffic_ == nullptr || dynamic_encoder_ == nullptr) slice = 0;
-  if (auto it = slice_cache_.find(slice); it != slice_cache_.end()) {
+  // Serving: the cross-worker shared cache is the only slice cache, so a
+  // replica holds no private copies beyond the shared LRU's bound. Entries
+  // are version-tagged, so a hot-swapped replica never reads
+  // representations computed by different weights.
+  const bool share = shared_reps_ != nullptr && !nn::GradEnabled();
+  if (share) {
+    if (auto hit = shared_reps_->Get(shared_version_, slice)) return *hit;
+  } else if (auto it = slice_cache_.find(slice); it != slice_cache_.end()) {
     return it->second;
   }
   // In no-grad (serving) mode the caches persist across requests — and
@@ -149,17 +156,6 @@ Tensor StTokenizer::SpatialRepresentations(int slice) {
   std::optional<nn::ArenaPin> pin;
   if (!nn::GradEnabled()) pin.emplace();
   const int num_segments = network_->num_segments();
-
-  // Serving: consult the cross-worker shared cache before paying for the
-  // GAT passes. Entries are version-tagged, so a hot-swapped replica never
-  // reads representations computed by different weights.
-  const bool share = shared_reps_ != nullptr && !nn::GradEnabled();
-  if (share) {
-    if (auto hit = shared_reps_->Get(shared_version_, slice)) {
-      slice_cache_.emplace(slice, *hit);
-      return *hit;
-    }
-  }
 
   // Static representations H^(s) (Eq. 4) — slice-independent, cached once.
   if (!cached_static_.is_valid()) {
@@ -189,8 +185,11 @@ Tensor StTokenizer::SpatialRepresentations(int slice) {
   Tensor fused = nn::Concat({cached_static_, dynamic}, /*axis=*/1);
   if (fusion_ != nullptr) fused = fusion_->Forward(fused);
 
-  slice_cache_.emplace(slice, fused);
-  if (share) shared_reps_->Put(shared_version_, slice, fused);
+  if (share) {
+    shared_reps_->Put(shared_version_, slice, fused);
+  } else {
+    slice_cache_.emplace(slice, fused);
+  }
   return fused;
 }
 
@@ -209,18 +208,23 @@ Tensor StTokenizer::TokenizeWithHiddenTimes(
   BIGCITY_CHECK_GT(length, 0);
   BIGCITY_CHECK_EQ(static_cast<int>(hide_time.size()), length);
 
-  // Gather s_{i, t_l} for every position, grouping by slice so each slice's
-  // representation matrix is computed once.
+  // Gather s_{i, t_l} for every position, resolving each distinct slice's
+  // representation matrix once per call (the shared cache may evict it
+  // before the sequence's last position reads it).
   std::vector<Tensor> position_reps;
   position_reps.reserve(static_cast<size_t>(length));
+  std::unordered_map<int, Tensor> resolved;
   for (int l = 0; l < length; ++l) {
     const int slice =
         traffic_ != nullptr ? traffic_->SliceOf(sequence.timestamps[
                                   static_cast<size_t>(l)])
                             : 0;
-    Tensor reps = SpatialRepresentations(slice);
+    auto it = resolved.find(slice);
+    if (it == resolved.end()) {
+      it = resolved.emplace(slice, SpatialRepresentations(slice)).first;
+    }
     position_reps.push_back(
-        nn::Rows(reps, {sequence.segments[static_cast<size_t>(l)]}));
+        nn::Rows(it->second, {sequence.segments[static_cast<size_t>(l)]}));
   }
   Tensor spatial = nn::Concat(position_reps, /*axis=*/0);  // [L, 2*Dh]
 

@@ -100,11 +100,17 @@ class StTokenizer : public nn::Module {
   /// Attaches a serving-time shared representation cache (not owned).
   /// `version` tags every entry this tokenizer reads or writes; pass the
   /// replica's model version so hot-swapped weights never alias. Only
-  /// consulted in no-grad mode — training always recomputes.
+  /// consulted in no-grad mode — training always recomputes. While it is
+  /// consulted it replaces the private per-slice cache, so a replica's
+  /// slice memory stays within the shared cache's bound without
+  /// BeginStep() calls.
   void SetSharedRepCache(SpatialRepCache* cache, uint64_t version) {
     shared_reps_ = cache;
     shared_version_ = version;
   }
+
+  /// Slices held in the private per-step cache (not the shared one).
+  size_t private_slice_count() const { return slice_cache_.size(); }
 
   int64_t token_dim() const { return config_.d_model; }
   int64_t spatial_rep_dim() const { return 2 * config_.spatial_dim; }

@@ -12,23 +12,7 @@ namespace bigcity::nn {
 
 namespace {
 
-constexpr float kPi = 3.14159265358979323846f;
-
 inline uint64_t U64(int64_t value) { return static_cast<uint64_t>(value); }
-
-/// tanh-approximation GELU (GPT-2), same formula as ops.cc Gelu.
-inline float GeluFwd(float x) {
-  const float c = std::sqrt(2.0f / kPi);
-  return 0.5f * x * (1.0f + std::tanh(c * (x + 0.044715f * x * x * x)));
-}
-
-inline float GeluGrad(float x) {
-  const float c = std::sqrt(2.0f / kPi);
-  const float u = c * (x + 0.044715f * x * x * x);
-  const float t = std::tanh(u);
-  const float du = c * (1.0f + 3.0f * 0.044715f * x * x);
-  return 0.5f * (1.0f + t) + 0.5f * x * (1.0f - t * t) * du;
-}
 
 inline float LeakyFwd(float x, float slope) { return x > 0.0f ? x : slope * x; }
 inline float LeakyGrad(float x, float slope) { return x > 0.0f ? 1.0f : slope; }
@@ -132,43 +116,60 @@ AddBroadcast ResolveAddBroadcast(const Tensor& x, const Tensor& b) {
 }
 
 /// Shared core of BiasGelu / BiasLeakyRelu: y = act(x + b). `slope` < 0
-/// selects GELU, otherwise LeakyReLU with that slope.
+/// selects GELU, otherwise LeakyReLU with that slope. Both broadcast modes
+/// run as rows of a bias row: kRowwise over x's rows, kSame as one row of
+/// numel columns whose bias row is all of b.
 Tensor BiasActImpl(const char* name, const Tensor& x, const Tensor& b,
                    float slope) {
   BIGCITY_PROFILE_OP(name);
   BIGCITY_PROFILE_OP_COST(U64(8 * x.numel()), U64(3 * x.numel()) * 4);
   BIGCITY_PROFILE_OP_BWD_COST(U64(10 * x.numel()), U64(4 * x.numel()) * 4);
   const AddBroadcast mode = ResolveAddBroadcast(x, b);
-  const int64_t cols = x.shape().size() == 2 ? x.shape()[1] : x.numel();
+  const int64_t cols =
+      mode == AddBroadcast::kSame ? x.numel() : x.shape()[1];
+  const int64_t rows = cols > 0 ? x.numel() / cols : 0;
   const auto& xd = x.data();
   const auto& bd = b.data();
   FloatVec out(xd.size());
   const bool gelu = slope < 0.0f;
-  for (size_t i = 0; i < xd.size(); ++i) {
-    const float u =
-        xd[i] + bd[mode == AddBroadcast::kSame
-                       ? i
-                       : i % static_cast<size_t>(cols)];
-    out[i] = gelu ? GeluFwd(u) : LeakyFwd(u, slope);
+  if (gelu) {
+    kernels::GeluForward(xd.data(), bd.data(), out.data(), rows, cols);
+  } else {
+    for (int64_t i = 0; i < rows; ++i) {
+      const float* x_row = xd.data() + i * cols;
+      float* out_row = out.data() + i * cols;
+      for (int64_t j = 0; j < cols; ++j) {
+        out_row[j] = LeakyFwd(x_row[j] + bd[j], slope);
+      }
+    }
   }
   auto xi = x.impl();
   auto bi = b.impl();
   return MakeOpResult(
       x.shape(), std::move(out), {xi, bi},
-      [xi, bi, mode, cols, gelu, slope](TensorImpl& self) {
+      [xi, bi, rows, cols, gelu, slope](TensorImpl& self) {
         if (!xi->needs_grad && !bi->needs_grad) return;
         if (xi->needs_grad) xi->EnsureGrad();
         if (bi->needs_grad) bi->EnsureGrad();
-        for (size_t i = 0; i < self.grad.size(); ++i) {
-          const size_t j = mode == AddBroadcast::kSame
-                               ? i
-                               : i % static_cast<size_t>(cols);
-          // Recompute the pre-activation instead of having stored it.
-          const float u = xi->data[i] + bi->data[j];
-          const float d =
-              self.grad[i] * (gelu ? GeluGrad(u) : LeakyGrad(u, slope));
-          if (xi->needs_grad) xi->grad[i] += d;
-          if (bi->needs_grad) bi->grad[j] += d;
+        // d = dy · act'(x + b), recomputing the pre-activation instead of
+        // having stored it. GELU's comes from the kernel into a scratch
+        // buffer; LeakyReLU's is computed in the accumulation loop.
+        FloatVec gelu_d;
+        if (gelu) {
+          gelu_d.resize(self.grad.size());
+          kernels::GeluBackward(xi->data.data(), bi->data.data(),
+                                self.grad.data(), gelu_d.data(), rows, cols);
+        }
+        for (int64_t i = 0; i < rows; ++i) {
+          for (int64_t j = 0; j < cols; ++j) {
+            const int64_t k = i * cols + j;
+            const float d =
+                gelu ? gelu_d[k]
+                     : self.grad[k] *
+                           LeakyGrad(xi->data[k] + bi->data[j], slope);
+            if (xi->needs_grad) xi->grad[k] += d;
+            if (bi->needs_grad) bi->grad[j] += d;
+          }
         }
       });
 }
@@ -228,7 +229,7 @@ Tensor ScaledMaskedSoftmax(const Tensor& scores, float scale, bool causal,
     for (int64_t j = limit; j < d; ++j) out_row[j] = 0.0f;
   }
   auto si = scores.impl();
-  auto y = out;  // Copy kept for the backward pass.
+  FloatVec y = NeedsGrad(scores) ? out : FloatVec();  // For the backward.
   return MakeOpResult(
       scores.shape(), std::move(out), {si},
       [si, n, d, scale, causal, row_offset, y = std::move(y)](

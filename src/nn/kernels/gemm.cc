@@ -197,8 +197,8 @@ __attribute__((target("avx2"))) void MicroKernelAvx2(
 
 MicroKernelFn PickMicroKernel() {
 #if BIGCITY_KERNEL_X86
-  if (__builtin_cpu_supports("avx512f")) return MicroKernelAvx512;
-  if (__builtin_cpu_supports("avx2")) return MicroKernelAvx2;
+  if (IsaSupported(Isa::kAvx512)) return MicroKernelAvx512;
+  if (IsaSupported(Isa::kAvx2)) return MicroKernelAvx2;
 #endif
   return MicroKernelScalar;
 }
@@ -294,8 +294,8 @@ __attribute__((target("avx2"))) void RankOneAvx2(
 
 RankOneFn PickRankOne() {
 #if BIGCITY_KERNEL_X86
-  if (__builtin_cpu_supports("avx512f")) return RankOneAvx512;
-  if (__builtin_cpu_supports("avx2")) return RankOneAvx2;
+  if (IsaSupported(Isa::kAvx512)) return RankOneAvx512;
+  if (IsaSupported(Isa::kAvx2)) return RankOneAvx2;
 #endif
   return RankOneScalar;
 }

@@ -5,6 +5,14 @@
 
 namespace bigcity::nn::kernels {
 
+/// Instruction sets the kernels have variants for. Every kernel picks its
+/// variant once at startup through IsaSupported, widest first; a kernel
+/// without a variant for some ISA runs its next narrower one.
+enum class Isa { kScalar, kAvx2, kAvx512 };
+
+/// True when this CPU can run `isa` (kScalar always).
+bool IsaSupported(Isa isa);
+
 // High-performance GEMM layer shared by every nn op. Three access patterns
 // cover all forward/backward products in the models:
 //
@@ -64,6 +72,36 @@ void GemmABtBlocked(const float* a, const float* b, float* c, int64_t n,
                     int64_t k, int64_t m, bool accumulate);
 void GemmAtBBlocked(const float* a, const float* b, float* c, int64_t n,
                     int64_t k, int64_t m, bool accumulate);
+
+// --- GELU -------------------------------------------------------------------
+//
+// GPT-2 tanh-GELU over a row-major [rows, cols] block with an optional
+// {cols} bias row broadcast to every row (null: none):
+//
+//   GeluForward : y  = GELU(x + bias)
+//   GeluBackward: dx = dy · GELU'(x + bias)          (write mode)
+//
+// GELU(u) = 0.5·u·(1 + tanh(√(2/π)·(u + 0.044715·u³))). tanh is GeluTanh
+// below, not libm, so results do not depend on the host's math library.
+// Numerical contract: every SIMD variant is bit-identical to the scalar
+// reference, element for element (DESIGN.md §4.8). There are scalar and
+// AVX2 variants; on an AVX-512 CPU the AVX2 one runs.
+
+/// The kernels' tanh (scalar reference): odd, clamped rational, within
+/// 3.7e-7 of tanh for every float and exactly ±1 for |x| >= 9.
+float GeluTanh(float x);
+
+void GeluForward(const float* x, const float* bias, float* y, int64_t rows,
+                 int64_t cols);
+void GeluBackward(const float* x, const float* bias, const float* dy,
+                  float* dx, int64_t rows, int64_t cols);
+
+// Fixed-variant entry points (equivalence tests); `isa` must be supported
+// (kAvx512 runs the AVX2 variant).
+void GeluForward(Isa isa, const float* x, const float* bias, float* y,
+                 int64_t rows, int64_t cols);
+void GeluBackward(Isa isa, const float* x, const float* bias, const float* dy,
+                  float* dx, int64_t rows, int64_t cols);
 
 }  // namespace bigcity::nn::kernels
 

@@ -19,8 +19,6 @@ namespace {
 // times partition wall time without double counting.
 inline uint64_t U64(int64_t value) { return static_cast<uint64_t>(value); }
 
-constexpr float kPi = 3.14159265358979323846f;
-
 enum class BroadcastMode { kSame, kRowwise, kScalarRhs };
 
 BroadcastMode ResolveBroadcast(const Tensor& a, const Tensor& b) {
@@ -98,7 +96,8 @@ Tensor UnaryOp(const char* name, const Tensor& a, UnaryFwd fwd,
   FloatVec out(ad.size());
   for (size_t i = 0; i < ad.size(); ++i) out[i] = fwd(ad[i]);
   auto ai = a.impl();
-  auto out_copy = out;  // Captured for derivative-in-terms-of-output.
+  // Kept for derivative-in-terms-of-output.
+  FloatVec out_copy = NeedsGrad(a) ? out : FloatVec();
   return MakeOpResult(
       a.shape(), std::move(out), {ai},
       [ai, bwd, out_copy = std::move(out_copy)](TensorImpl& self) {
@@ -241,19 +240,21 @@ Tensor LeakyRelu(const Tensor& a, float negative_slope) {
 }
 
 Tensor Gelu(const Tensor& a) {
-  return UnaryOp(
-      "Gelu", a,
-      [](float x) {
-        const float c = std::sqrt(2.0f / kPi);
-        return 0.5f * x * (1.0f + std::tanh(c * (x + 0.044715f * x * x * x)));
-      },
-      [](float x, float) {
-        const float c = std::sqrt(2.0f / kPi);
-        const float u = c * (x + 0.044715f * x * x * x);
-        const float t = std::tanh(u);
-        const float du = c * (1.0f + 3.0f * 0.044715f * x * x);
-        return 0.5f * (1.0f + t) + 0.5f * x * (1.0f - t * t) * du;
-      });
+  BIGCITY_PROFILE_OP("Gelu");
+  BIGCITY_PROFILE_OP_COST(U64(8 * a.numel()), U64(2 * a.numel()) * 4);
+  BIGCITY_PROFILE_OP_BWD_COST(U64(10 * a.numel()), U64(3 * a.numel()) * 4);
+  const auto& ad = a.data();
+  FloatVec out(ad.size());
+  kernels::GeluForward(ad.data(), /*bias=*/nullptr, out.data(), 1, a.numel());
+  auto ai = a.impl();
+  return MakeOpResult(a.shape(), std::move(out), {ai}, [ai](TensorImpl& self) {
+    if (!ai->needs_grad) return;
+    ai->EnsureGrad();
+    FloatVec d(self.grad.size());
+    kernels::GeluBackward(ai->data.data(), /*bias=*/nullptr, self.grad.data(),
+                          d.data(), 1, static_cast<int64_t>(d.size()));
+    for (size_t i = 0; i < d.size(); ++i) ai->grad[i] += d[i];
+  });
 }
 
 Tensor Tanh(const Tensor& a) {
@@ -435,7 +436,7 @@ Tensor Softmax(const Tensor& a) {
     for (int64_t j = 0; j < d; ++j) out_row[j] *= inv;
   }
   auto ai = a.impl();
-  auto y = out;  // Copy for backward.
+  FloatVec y = NeedsGrad(a) ? out : FloatVec();  // For the backward.
   return MakeOpResult(
       a.shape(), std::move(out), {ai},
       [ai, n, d, y = std::move(y)](TensorImpl& self) {
@@ -471,7 +472,7 @@ Tensor LogSoftmax(const Tensor& a) {
     for (int64_t j = 0; j < d; ++j) out_row[j] = row[j] - lse;
   }
   auto ai = a.impl();
-  auto y = out;
+  FloatVec y = NeedsGrad(a) ? out : FloatVec();  // For the backward.
   return MakeOpResult(
       a.shape(), std::move(out), {ai},
       [ai, n, d, y = std::move(y)](TensorImpl& self) {
@@ -774,7 +775,7 @@ Tensor SegmentSoftmax(const Tensor& scores, const std::vector<int>& segment_ids,
   }
   for (size_t i = 0; i < e; ++i) out[i] /= seg_sum[segment_ids[i]];
   auto si = scores.impl();
-  auto y = out;
+  FloatVec y = NeedsGrad(scores) ? out : FloatVec();  // For the backward.
   return MakeOpResult(
       scores.shape(), std::move(out), {si},
       [si, segment_ids, num_segments, y = std::move(y)](TensorImpl& self) {

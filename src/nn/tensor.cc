@@ -50,6 +50,10 @@ std::shared_ptr<TensorImpl> NewLeaf(std::vector<int64_t> shape,
 
 bool GradEnabled() { return g_grad_enabled; }
 
+bool NeedsGrad(const Tensor& t) {
+  return g_grad_enabled && t.impl()->needs_grad;
+}
+
 NoGradGuard::NoGradGuard() : previous_(g_grad_enabled) {
   g_grad_enabled = false;
 }

@@ -172,6 +172,11 @@ class Tensor {
   std::shared_ptr<TensorImpl> impl_;
 };
 
+/// True when an op reading `t` records a backward edge to it (grad mode on
+/// and `t` needs grad). Ops test it before keeping state that only their
+/// backward pass reads, such as a copy of the output.
+bool NeedsGrad(const Tensor& t);
+
 /// Creates an op-output node: shape/data as given, wired to parents with the
 /// given backward function. needs_grad is derived from the parents and
 /// forced off (graph edges dropped) while a NoGradGuard is active.

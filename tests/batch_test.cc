@@ -292,6 +292,36 @@ TEST_F(BatchTest, SharedRepCacheDistinguishesVersions) {
   EXPECT_GT(shared.misses(), misses_after_a);
 }
 
+TEST_F(BatchTest, SharedRepCacheReplacesPrivateSliceCache) {
+  // A capacity-2 shared cache evicts most of a 12-slice sequence's slices
+  // before the sequence ends. The tokenizer still resolves each distinct
+  // slice once per call, matches a tokenizer without a shared cache bit
+  // for bit, and keeps no private slice copies.
+  core::SpatialRepCache shared(2);
+  core::BigCityModel a(dataset_, model_config_);
+  core::BigCityModel b(dataset_, model_config_);
+  b.CopyStateFrom(a);
+  b.tokenizer()->SetSharedRepCache(&shared, /*version=*/1);
+
+  nn::NoGradGuard no_grad;
+  const data::TrafficStateSeries& traffic = dataset_->traffic();
+  constexpr int kSlices = 12;
+  ASSERT_GE(traffic.num_slices(), 30 + kSlices);
+  for (int first : {0, 5, 30}) {
+    const auto sequence =
+        data::StUnitSequence::FromTrafficSeries(traffic, 3, first, kSlices);
+    const uint64_t probes = shared.hits() + shared.misses();
+    nn::Tensor want = a.tokenizer()->Tokenize(sequence);
+    nn::Tensor got = b.tokenizer()->Tokenize(sequence);
+    ExpectBitIdentical(want, got);
+    EXPECT_EQ(shared.hits() + shared.misses() - probes, uint64_t{kSlices});
+  }
+  EXPECT_EQ(b.tokenizer()->private_slice_count(), 0u);
+  EXPECT_LE(shared.size(), 2u);
+  // Without a shared cache the private cache still serves the step.
+  EXPECT_GE(a.tokenizer()->private_slice_count(), 10u);
+}
+
 // --- Batcher dispatch policy ------------------------------------------------
 
 struct FakeItem {

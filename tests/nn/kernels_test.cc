@@ -1,12 +1,13 @@
 // Kernel-layer verification: bit-exact blocked-vs-naive equivalence across
 // edge-tile shapes, thread-count-invariance, IEEE special-value propagation
 // (no zero-skip), write-mode overwrite semantics, the ThreadPool's static
-// partitioning contract, and gradients of every fused op under both
-// backends.
+// partitioning contract, the GELU kernel's SIMD = scalar contract and tanh
+// error bound, and gradients of every fused op under both backends.
 #include "nn/kernels/kernels.h"
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <mutex>
 #include <set>
@@ -221,6 +222,143 @@ TEST(ThreadPoolTest, EmptyRangeAndReuse) {
     });
   }
   for (int h : hits) ASSERT_EQ(h, 50);
+}
+
+// --- GELU kernel ------------------------------------------------------------
+
+/// Bit patterns equal (NaN == NaN with the same payload, -0 != +0).
+bool SameBits(float a, float b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+/// Every float the GELU contract names: a dense sweep of [-20, 20], signed
+/// zeros, denormals, the largest/smallest finite values, infinities, NaN,
+/// and neighbours of the tanh clamp (±9) and of the GELU input whose tanh
+/// argument lands near it (about ±4.63).
+std::vector<float> GeluInputs() {
+  std::vector<float> v;
+  constexpr int kSweep = 1 << 20;
+  for (int i = 0; i <= kSweep; ++i) {
+    v.push_back(-20.0f + 40.0f * static_cast<float>(i) / kSweep);
+  }
+  const float kMax = std::numeric_limits<float>::max();
+  const float kDenorm = std::numeric_limits<float>::denorm_min();
+  const float specials[] = {0.0f,
+                            kDenorm,
+                            2.5f * kDenorm,
+                            std::numeric_limits<float>::min() / 2,
+                            std::numeric_limits<float>::min(),
+                            1e-30f,
+                            kMax,
+                            kInf,
+                            std::numeric_limits<float>::quiet_NaN(),
+                            9.0f,
+                            std::nextafter(9.0f, 0.0f),
+                            std::nextafter(9.0f, kInf),
+                            4.63f,
+                            1e20f};
+  for (float s : specials) {
+    v.push_back(s);
+    v.push_back(-s);
+  }
+  return v;
+}
+
+std::vector<Isa> SupportedIsas() {
+  std::vector<Isa> isas;
+  for (Isa isa : {Isa::kScalar, Isa::kAvx2}) {
+    if (IsaSupported(isa)) isas.push_back(isa);
+  }
+  return isas;
+}
+
+void ExpectSameBits(const std::vector<float>& want,
+                    const std::vector<float>& got, const char* what) {
+  ASSERT_EQ(want.size(), got.size());
+  size_t mismatches = 0, first = 0;
+  for (size_t i = 0; i < want.size(); ++i) {
+    if (!SameBits(want[i], got[i]) && mismatches++ == 0) first = i;
+  }
+  EXPECT_EQ(mismatches, 0u) << what << ": first mismatch at " << first
+                            << ": " << want[first] << " vs " << got[first];
+}
+
+TEST(GeluKernelTest, EveryVariantMatchesScalarBitForBit) {
+  const std::vector<float> x = GeluInputs();
+  const int64_t n = static_cast<int64_t>(x.size());
+  util::Rng rng(17);
+  std::vector<float> dy(x.size());
+  for (auto& g : dy) g = static_cast<float>(rng.Uniform(-2.0, 2.0));
+  // A bias row whose width leaves a vector tail on every ISA, over the
+  // same values laid out as rows.
+  constexpr int64_t kCols = 37;
+  const int64_t rows = n / kCols;
+  std::vector<float> bias(kCols);
+  for (auto& b : bias) b = static_cast<float>(rng.Uniform(-3.0, 3.0));
+
+  std::vector<float> ref_y(x.size()), ref_dx(x.size());
+  std::vector<float> ref_by(x.size()), ref_bdx(x.size());
+  GeluForward(Isa::kScalar, x.data(), nullptr, ref_y.data(), 1, n);
+  GeluBackward(Isa::kScalar, x.data(), nullptr, dy.data(), ref_dx.data(), 1,
+               n);
+  GeluForward(Isa::kScalar, x.data(), bias.data(), ref_by.data(), rows,
+              kCols);
+  GeluBackward(Isa::kScalar, x.data(), bias.data(), dy.data(),
+               ref_bdx.data(), rows, kCols);
+  EXPECT_FALSE(SupportedIsas().empty());
+  for (Isa isa : SupportedIsas()) {
+    SCOPED_TRACE(static_cast<int>(isa));
+    std::vector<float> y(x.size()), dx(x.size()), by(x.size()),
+        bdx(x.size());
+    GeluForward(isa, x.data(), nullptr, y.data(), 1, n);
+    GeluBackward(isa, x.data(), nullptr, dy.data(), dx.data(), 1, n);
+    GeluForward(isa, x.data(), bias.data(), by.data(), rows, kCols);
+    GeluBackward(isa, x.data(), bias.data(), dy.data(), bdx.data(), rows,
+                 kCols);
+    ExpectSameBits(ref_y, y, "forward");
+    ExpectSameBits(ref_dx, dx, "backward");
+    ExpectSameBits(ref_by, by, "forward + bias");
+    ExpectSameBits(ref_bdx, bdx, "backward + bias");
+  }
+  // The dispatched entry points run one of the variants checked above.
+  std::vector<float> y(x.size());
+  GeluForward(x.data(), nullptr, y.data(), 1, n);
+  ExpectSameBits(ref_y, y, "dispatched forward");
+}
+
+TEST(GeluKernelTest, TanhIsAccurateOddAndSaturates) {
+  double max_err = 0.0;
+  float worst = 0.0f;
+  for (float x : GeluInputs()) {
+    const float t = GeluTanh(x);
+    EXPECT_TRUE(SameBits(GeluTanh(-x), -t)) << x;
+    if (std::isnan(x)) {
+      EXPECT_TRUE(std::isnan(t));
+      continue;
+    }
+    const double err = std::fabs(static_cast<double>(t) -
+                                 std::tanh(static_cast<double>(x)));
+    if (err > max_err) {
+      max_err = err;
+      worst = x;
+    }
+  }
+  EXPECT_LE(max_err, 1e-6) << "at x = " << worst;
+  EXPECT_TRUE(SameBits(GeluTanh(0.0f), 0.0f));
+  EXPECT_TRUE(SameBits(GeluTanh(-0.0f), -0.0f));
+  EXPECT_EQ(GeluTanh(9.0f), 1.0f);
+  EXPECT_EQ(GeluTanh(-9.5f), -1.0f);
+  EXPECT_EQ(GeluTanh(kInf), 1.0f);
+  EXPECT_EQ(GeluTanh(-kInf), -1.0f);
+}
+
+TEST(GeluKernelTest, GeluOfLargeInputsIsExact) {
+  // tanh saturates to exactly ±1, so GELU(u) is exactly u or 0 far from 0.
+  const float in[] = {20.0f, 1e20f, -20.0f, -1e20f};
+  float out[4];
+  GeluForward(in, nullptr, out, 1, 4);
+  EXPECT_EQ(out[0], 20.0f);
+  EXPECT_EQ(out[1], 1e20f);
+  EXPECT_EQ(out[2], 0.0f);
+  EXPECT_EQ(out[3], 0.0f);
 }
 
 // --- Fused ops: forward semantics -------------------------------------------

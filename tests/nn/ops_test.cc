@@ -1,10 +1,17 @@
 #include "nn/ops.h"
 
 #include <cmath>
+#include <functional>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "nn/kernels/fused.h"
 #include "nn/tensor.h"
+#include "obs/memory.h"
+#include "util/rng.h"
 
 namespace bigcity::nn {
 namespace {
@@ -217,6 +224,64 @@ TEST(OpsTest, ArgmaxAndTopK) {
   EXPECT_EQ(ArgmaxRows(a), (std::vector<int>{1, 0}));
   EXPECT_EQ(TopKRow(a, 1, 3), (std::vector<int>{0, 2, 3}));
 }
+
+#if BIGCITY_OBS
+/// Ops that keep a copy of their output for the backward pass make it only
+/// when a backward edge is recorded: under no-grad the one tensor payload
+/// they allocate is the output (SegmentSoftmax adds its two per-segment
+/// scratch rows), even when the input itself requires grad.
+TEST(OpsTest, NoGradOpsAllocateOnlyTheirOutput) {
+  util::Rng rng(3);
+  Tensor x = Tensor::Randn({7, 11}, &rng, 1.0f, /*requires_grad=*/true);
+  Tensor flat = Tensor::Randn({77}, &rng, 1.0f, /*requires_grad=*/true);
+  constexpr int kSegments = 5;
+  std::vector<int> segments(77);
+  for (size_t i = 0; i < segments.size(); ++i) {
+    segments[i] = static_cast<int>(i % kSegments);
+  }
+  const auto& memory = obs::MemoryTracker::Global();
+  // Returns {allocations, bytes} of one op call.
+  auto cost = [&](auto op) {
+    const int64_t count = memory.alloc_count();
+    const int64_t bytes = memory.alloc_bytes();
+    Tensor y = op();
+    return std::pair<int64_t, int64_t>(memory.alloc_count() - count,
+                                       memory.alloc_bytes() - bytes);
+  };
+  const int64_t out_bytes = 77 * sizeof(float);
+  const int64_t scratch_bytes = 2 * kSegments * sizeof(float);
+  struct Case {
+    const char* name;
+    std::function<Tensor()> op;
+    int64_t scratch_allocs, scratch_bytes;
+  };
+  const std::vector<Case> cases = {
+      {"Exp", [&] { return Exp(x); }, 0, 0},
+      {"Gelu", [&] { return Gelu(x); }, 0, 0},
+      {"Softmax", [&] { return Softmax(x); }, 0, 0},
+      {"LogSoftmax", [&] { return LogSoftmax(x); }, 0, 0},
+      {"ScaledMaskedSoftmax",
+       [&] { return ScaledMaskedSoftmax(x, 0.5f, /*causal=*/false); }, 0, 0},
+      {"SegmentSoftmax",
+       [&] { return SegmentSoftmax(flat, segments, kSegments); }, 2,
+       scratch_bytes},
+  };
+  for (const Case& c : cases) {
+    {
+      NoGradGuard no_grad;
+      const auto [count, bytes] = cost(c.op);
+      EXPECT_EQ(count, 1 + c.scratch_allocs) << c.name;
+      EXPECT_EQ(bytes, out_bytes + c.scratch_bytes) << c.name;
+    }
+    // With grad on, the softmax family and UnaryOp still keep their copy.
+    if (std::string(c.name) != "Gelu") {
+      const auto [count, bytes] = cost(c.op);
+      EXPECT_EQ(count, 2 + c.scratch_allocs) << c.name;
+      EXPECT_EQ(bytes, 2 * out_bytes + c.scratch_bytes) << c.name;
+    }
+  }
+}
+#endif  // BIGCITY_OBS
 
 }  // namespace
 }  // namespace bigcity::nn
